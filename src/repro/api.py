@@ -47,7 +47,6 @@ def _run_native(s: RunSpec) -> RunResult:
         workers=s.workers,
         executor=s.executor,
         pack_cache=s.pack_cache,
-        buffer_pool=s.buffer_pool,
         alloc_profile=s.alloc_profile,
         **_precision_kwargs(s),
     ).run(numeric=s.numeric, seed=s.seed)
@@ -64,7 +63,6 @@ def _run_hybrid(s: RunSpec) -> RunResult:
             workers=s.workers,
             executor=s.executor,
             pack_cache=s.pack_cache,
-            buffer_pool=s.buffer_pool,
             alloc_profile=s.alloc_profile,
             seed=s.seed,
             **_precision_kwargs(s),
@@ -107,7 +105,6 @@ def _run_distributed(s: RunSpec) -> RunResult:
         workers=s.workers,
         executor=s.executor,
         pack_cache=s.pack_cache,
-        buffer_pool=s.buffer_pool,
         alloc_profile=s.alloc_profile,
         fault_plan=s.fault_plan,
         checkpoint_every=s.checkpoint_every,

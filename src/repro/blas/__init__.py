@@ -26,7 +26,7 @@ implements:
   nothing (:mod:`repro.blas.buffers`).
 """
 
-from repro.blas.buffers import BufferPool, BufferPoolError, as_buffer_pool
+from repro.blas.buffers import BufferPool, BufferPoolError
 from repro.blas.packing import PackedA, PackedB, pack_a, pack_b, TILE_A_ROWS, TILE_B_COLS
 from repro.blas.kernels import (
     basic_kernel_1,
@@ -45,7 +45,6 @@ from repro.blas.blocking import choose_blocking, BlockChoice
 __all__ = [
     "BufferPool",
     "BufferPoolError",
-    "as_buffer_pool",
     "PackedA",
     "PackedB",
     "pack_a",

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -306,19 +306,3 @@ def subtract_into(target: np.ndarray, value: np.ndarray) -> np.ndarray:
     else:
         np.subtract(target, value, out=target)
     return target
-
-
-def as_buffer_pool(pool) -> Optional[BufferPool]:
-    """Coerce ``None | bool | BufferPool`` into a pool (or None).
-
-    ``True`` builds a fresh pool, ``False``/``None`` disable pooling —
-    the same convention :class:`~repro.blas.workspace.PackCache`
-    consumers use for their ``pack_cache`` arguments.
-    """
-    if pool is None or pool is False:
-        return None
-    if pool is True:
-        return BufferPool()
-    if isinstance(pool, BufferPool):
-        return pool
-    raise TypeError(f"pool must be None, a bool or a BufferPool, got {pool!r}")

@@ -108,12 +108,9 @@ def gemm(
         packed k-slices of A/B are cached under ``(key, k0)`` and reused
         by later calls on the same operand slice.
     pool:
-        Optional :class:`~repro.blas.buffers.BufferPool` the stripe
-        path rents its fused-stripe operand and accumulator from
-        (instead of a fresh ``transpose().reshape()`` copy plus the
-        thread-local scratch buffer). The operand values and BLAS call
-        are unchanged, so pooled and unpooled results are bitwise
-        identical.
+        The :class:`~repro.blas.buffers.BufferPool` the stripe path
+        rents its fused-stripe operand and accumulator from (a
+        call-local one when omitted).
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -148,6 +145,8 @@ def gemm(
         if beta != 1.0:
             c *= a.dtype.type(beta)
 
+    if pool is None:
+        pool = BufferPool()
     executor = as_executor(executor)
     alpha = a.dtype.type(alpha)
     for k0 in range(0, k_total, k_block):
@@ -270,13 +269,13 @@ def _outer_product_stripes_process(c, pa, pb, alpha, executor) -> None:
             arena.release(buf)
 
 
-def _outer_product_stripes(c, pa, pb, alpha, executor, pool=None) -> None:
+def _outer_product_stripes(c, pa, pb, alpha, executor, pool) -> None:
     """Accumulate alpha * unpack(pa) @ unpack(pb) into c, one row stripe
     per a tile.
 
     Each stripe multiplies its (tile_rows, k) a tile against the whole
-    packed-B panel in a single BLAS call into a thread-local scratch
-    accumulator, then folds the valid region into its disjoint row band
+    packed-B panel in a single BLAS call into an accumulator rented from
+    ``pool``, then folds the valid region into its disjoint row band
     of c. Because stripes never share output rows and the k-slice loop
     above stays serial, the executor's scheduling cannot alter any
     floating-point sum — serial and parallel runs are bitwise identical.
@@ -291,7 +290,6 @@ def _outer_product_stripes(c, pa, pb, alpha, executor, pool=None) -> None:
     ncols = pb.n
     dtype = c.dtype
     k = pa.k
-    rows_per_task = STRIPE_TILES * pa.tile_rows
 
     def run_stripe(t0: int) -> None:
         t1 = min(t0 + STRIPE_TILES, pa.n_tiles)
@@ -299,28 +297,21 @@ def _outer_product_stripes(c, pa, pb, alpha, executor, pool=None) -> None:
         rhi = min(t1 * pa.tile_rows, pa.m)
         nrows = (t1 - t0) * pa.tile_rows
         # Tiles are stored (k, tile_rows); lay the fused stripe out as
-        # one (rows, k) operand for a single BLAS call. With a pool the
-        # copy lands in a rented buffer (via the strided assignment);
-        # without one, transpose().reshape() materialises it.
-        if pool is not None:
-            stripe = pool.checkout((nrows, k), dtype, key="gemm.stripe")
+        # one (rows, k) operand for a single BLAS call, copied into a
+        # rented buffer via the strided assignment.
+        stripe = pool.checkout((nrows, k), dtype, key="gemm.stripe")
+        out = pool.checkout((nrows, b_panel.shape[1]), dtype, key="gemm.out")
+        try:
             stripe.reshape(t1 - t0, pa.tile_rows, k)[...] = pa.data[
                 t0:t1
             ].transpose(0, 2, 1)
-            out = pool.checkout((nrows, b_panel.shape[1]), dtype, key="gemm.out")
-        else:
-            stripe = pa.data[t0:t1].transpose(0, 2, 1).reshape(-1, k)
-            buf = scratch_buffer((rows_per_task, b_panel.shape[1]), dtype)
-            out = buf[:nrows]
-        try:
             np.matmul(stripe, b_panel, out=out)
             if alpha != 1.0:
                 np.multiply(out, alpha, out=out)
             c[rlo:rhi, :ncols] += out[: rhi - rlo, :ncols]
         finally:
-            if pool is not None:
-                pool.release(stripe)
-                pool.release(out)
+            pool.release(stripe)
+            pool.release(out)
 
     starts = range(0, pa.n_tiles, STRIPE_TILES)
     if executor is None:

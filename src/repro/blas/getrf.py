@@ -20,13 +20,12 @@ with row r (r >= j, indices local to the factored block) *at step j*.
 Allocation discipline: the pivot search computes |column| into a
 reusable scratch vector (one allocation per call, not one per column),
 row swaps go through an explicit swap-row buffer instead of the
-double-copying fancy-index idiom, and — with a
-:class:`~repro.blas.buffers.BufferPool` passed as ``pool`` — all
-scratch (including the rank-1 and trailing-GEMM workspaces, which
-replace ``np.outer`` / ``@`` temporaries with ``np.multiply`` /
-``np.matmul(..., out=)``) is rented from the arena, so steady-state
-panel factorizations allocate nothing. The pooled and allocating paths
-compute the same products in the same order and are bitwise identical.
+double-copying fancy-index idiom, and all scratch (including the rank-1
+and trailing-GEMM workspaces, which run through ``np.matmul(...,
+out=)`` instead of ``np.outer`` / ``@`` temporaries) is rented from a
+:class:`~repro.blas.buffers.BufferPool`, so steady-state panel
+factorizations allocate nothing. A caller that passes no ``pool`` gets
+a call-local one.
 """
 
 from __future__ import annotations
@@ -57,12 +56,9 @@ def getf2(
 ) -> np.ndarray:
     """Unblocked in-place LU with partial pivoting of an (m, n) block.
 
-    Returns ``ipiv`` (length min(m, n)). With ``pool`` the scratch
-    (pivot-search vector, swap row, rank-1 workspace) is rented from
-    the arena and the rank-1 update runs through
-    ``np.multiply``/``np.subtract(..., out=)``; without it the update
-    stays the allocating ``np.outer`` reference. Both paths are bitwise
-    identical.
+    Returns ``ipiv`` (length min(m, n)). The scratch (pivot-search
+    vector, swap row, rank-1 workspace) is rented from ``pool`` (a
+    call-local :class:`~repro.blas.buffers.BufferPool` when omitted).
     """
     a = _check_panel(a)
     m, n = a.shape
@@ -71,17 +67,11 @@ def getf2(
         ipiv = np.zeros(kmax, dtype=np.int64)
     if kmax == 0:
         return ipiv
-    rank1_elems = (m - 1) * (n - 1)
-    if pool is not None:
-        abs_col = pool.checkout((m,), a.dtype, key="getf2.abs")
-        row_buf = pool.checkout((n,), a.dtype, key="getf2.swap")
-        rank1 = pool.checkout((rank1_elems,), a.dtype, key="getf2.rank1")
-    else:
-        # Reusable per-call scratch: one allocation per panel, not one
-        # np.abs temporary per column / one (2, n) gather per swap.
-        abs_col = np.empty(m, dtype=a.dtype)
-        row_buf = np.empty(n, dtype=a.dtype)
-        rank1 = None
+    if pool is None:
+        pool = BufferPool()
+    abs_col = pool.checkout((m,), a.dtype, key="getf2.abs")
+    row_buf = pool.checkout((n,), a.dtype, key="getf2.swap")
+    rank1 = pool.checkout(((m - 1) * (n - 1),), a.dtype, key="getf2.rank1")
     try:
         for j in range(kmax):
             scratch = abs_col[: m - j]
@@ -96,9 +86,7 @@ def getf2(
             if j + 1 < n:
                 # Rank-1 trailing update.
                 trailing = a[j + 1 :, j + 1 :]
-                if rank1 is None:
-                    trailing -= np.outer(a[j + 1 :, j], a[j, j + 1 :])
-                elif trailing.size:
+                if trailing.size:
                     w = rank1[: trailing.size].reshape(trailing.shape)
                     # Outer product via k=1 GEMM: one multiply per
                     # element, bitwise equal to np.outer, and unlike the
@@ -107,10 +95,9 @@ def getf2(
                     np.matmul(a[j + 1 :, j, None], a[None, j, j + 1 :], out=w)
                     subtract_into(trailing, w)
     finally:
-        if pool is not None:
-            pool.release(abs_col)
-            pool.release(row_buf)
-            pool.release(rank1)
+        pool.release(abs_col)
+        pool.release(row_buf)
+        pool.release(rank1)
     return ipiv
 
 
@@ -122,16 +109,17 @@ def getrf(
     Splits columns in half; the left half recursion produces pivots that
     are applied to the right half, followed by a unit-lower triangular
     solve and a GEMM update of the bottom-right block. Returns the pivot
-    vector in the same convention as :func:`getf2`. ``pool`` threads a
-    :class:`~repro.blas.buffers.BufferPool` through the recursion so the
-    swap rows, forward-solve workspaces and trailing-GEMM products are
-    rented instead of allocated.
+    vector in the same convention as :func:`getf2`. One
+    :class:`~repro.blas.buffers.BufferPool` (``pool``, or a call-local
+    one) is threaded through the recursion, so the swap rows,
+    forward-solve workspaces and trailing-GEMM products are rented
+    instead of allocated.
     """
     a = _check_panel(a)
     m, n = a.shape
     kmax = min(m, n)
     ipiv = np.zeros(kmax, dtype=np.int64)
-    _getrf_rec(a, ipiv, min_block, pool)
+    _getrf_rec(a, ipiv, min_block, BufferPool() if pool is None else pool)
     return ipiv
 
 
@@ -139,32 +127,25 @@ def _apply_swaps(
     a: np.ndarray,
     ipiv: np.ndarray,
     kmax: int,
-    pool: Optional[BufferPool],
+    pool: BufferPool,
     key: str,
 ) -> None:
     """Apply ``ipiv[:kmax]``'s swaps to the rows of ``a`` through one
     swap-row buffer."""
     if a.shape[1] == 0:
         return
-    if pool is not None:
-        with pool.rent((a.shape[1],), a.dtype, key=key) as row_buf:
-            for j in range(kmax):
-                p = ipiv[j]
-                if p != j:
-                    _swap_rows(a, j, p, row_buf)
-        return
-    row_buf = np.empty(a.shape[1], dtype=a.dtype)
-    for j in range(kmax):
-        p = ipiv[j]
-        if p != j:
-            _swap_rows(a, j, p, row_buf)
+    with pool.rent((a.shape[1],), a.dtype, key=key) as row_buf:
+        for j in range(kmax):
+            p = ipiv[j]
+            if p != j:
+                _swap_rows(a, j, p, row_buf)
 
 
 def _getrf_rec(
     a: np.ndarray,
     ipiv: np.ndarray,
     min_block: int,
-    pool: Optional[BufferPool] = None,
+    pool: BufferPool,
 ) -> None:
     m, n = a.shape
     kmax = min(m, n)
@@ -180,16 +161,14 @@ def _getrf_rec(
     # U12 = L11^{-1} @ A12 (unit lower triangular forward solve) ...
     l11 = left[:n1, :]
     u12 = right[:n1, :]
-    _forward_solve_unit_inplace(l11, u12, pool=pool)
+    _forward_solve_unit_inplace(l11, u12, pool)
     # ... then the trailing GEMM: A22 -= L21 @ U12.
     if m > n1:
         a22 = right[n1:, :]
-        if pool is not None and a22.size:
+        if a22.size:
             with pool.rent(a22.shape, a.dtype, key="getrf.gemm") as w:
                 matmul_into(pool, left[n1:, :], u12, w, key="getrf.gemm")
                 subtract_into(a22, w)
-        else:
-            a22 -= left[n1:, :] @ u12
         sub_ipiv = np.zeros(kmax - n1, dtype=np.int64)
         _getrf_rec(a[n1:, n1:], sub_ipiv, min_block, pool)
         # Apply the sub-factorization's swaps to the left columns and
@@ -199,25 +178,17 @@ def _getrf_rec(
 
 
 def _forward_solve_unit_inplace(
-    l: np.ndarray, b: np.ndarray, pool: Optional[BufferPool] = None
+    l: np.ndarray, b: np.ndarray, pool: BufferPool
 ) -> None:
     """b <- L^{-1} b for unit lower-triangular L, blocked loop.
 
-    With ``pool`` the per-column rank-1 products and the inter-block
-    GEMM run through rented workspaces (``out=``) instead of
-    temporaries; the products and subtraction order are unchanged, so
-    the result is bitwise identical.
+    The per-column rank-1 products and the inter-block GEMM run through
+    one rented workspace (``out=``) instead of temporaries.
     """
     n = l.shape[0]
     step = 32
     ncols = b.shape[1]
-    if pool is None or ncols == 0 or n == 0:
-        for j0 in range(0, n, step):
-            j1 = min(j0 + step, n)
-            for j in range(j0, j1):
-                b[j + 1 : j1, :] -= np.outer(l[j + 1 : j1, j], b[j, :])
-            if j1 < n:
-                b[j1:, :] -= l[j1:, j0:j1] @ b[j0:j1, :]
+    if ncols == 0 or n == 0:
         return
     with pool.rent((n * ncols,), b.dtype, key="fsolve.work") as work:
         for j0 in range(0, n, step):

@@ -19,11 +19,11 @@ a[perm[changed]]`` — instead of one two-row exchange per pivot. Both
 formulations move the same rows to the same places, so the result is
 bitwise identical to the step-by-step loop.
 
-With a :class:`~repro.blas.buffers.BufferPool` passed as ``pool`` the
-gather goes through a rented staging buffer (``np.take(..., out=)``
+The gather goes through a staging buffer rented from a
+:class:`~repro.blas.buffers.BufferPool` (``np.take(..., out=)``
 followed by the scatter) instead of materialising a fresh
-``a[perm[changed]]`` array per call — the same rows land in the same
-places, bitwise identically.
+``a[perm[changed]]`` array per call; a caller that passes no ``pool``
+gets a call-local one.
 """
 
 from __future__ import annotations
@@ -103,12 +103,14 @@ def laswp(
     forward:
         Apply swaps in factorization order (True) or reverse (False).
     pool:
-        Optional :class:`~repro.blas.buffers.BufferPool` the gather
-        staging buffer is rented from (no fresh gather array per call).
+        The :class:`~repro.blas.buffers.BufferPool` the gather staging
+        buffer is rented from (a call-local one when omitted).
     """
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError("laswp expects a 2-D block")
+    if pool is None:
+        pool = BufferPool()
     ipiv = np.asarray(ipiv, dtype=np.int64)
     if len(ipiv) == 0:
         return a
@@ -118,14 +120,11 @@ def laswp(
     if changed.size:
         # The gather is materialised before the scatter, so the in-place
         # row cycle is safe.
-        if pool is not None:
-            with pool.rent(
-                (changed.size, a.shape[1]), a.dtype, key="laswp.gather"
-            ) as buf:
-                _gather_rows(a, perm[changed], buf)
-                a[changed] = buf
-        else:
-            a[changed] = a[perm[changed]]
+        with pool.rent(
+            (changed.size, a.shape[1]), a.dtype, key="laswp.gather"
+        ) as buf:
+            _gather_rows(a, perm[changed], buf)
+            a[changed] = buf
     return a
 
 
@@ -140,6 +139,8 @@ def apply_pivots_to_vector(
     x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError("expected a vector")
+    if pool is None:
+        pool = BufferPool()
     ipiv = np.asarray(ipiv, dtype=np.int64)
     if len(ipiv) == 0:
         return x
@@ -147,15 +148,12 @@ def apply_pivots_to_vector(
     perm = _forward_permutation(ipiv, x.shape[0], offset, forward)
     changed = np.flatnonzero(perm != np.arange(x.shape[0]))
     if changed.size:
-        if pool is not None:
-            with pool.rent((changed.size,), x.dtype, key="laswp.gather") as buf:
-                if x.flags.c_contiguous:
-                    np.take(x, perm[changed], out=buf, mode="clip")
-                else:
-                    buf[...] = x[perm[changed]]
-                x[changed] = buf
-        else:
-            x[changed] = x[perm[changed]]
+        with pool.rent((changed.size,), x.dtype, key="laswp.gather") as buf:
+            if x.flags.c_contiguous:
+                np.take(x, perm[changed], out=buf, mode="clip")
+            else:
+                buf[...] = x[perm[changed]]
+            x[changed] = buf
     return x
 
 

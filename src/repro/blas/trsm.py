@@ -16,15 +16,12 @@ All are blocked: the triangular factor is processed in ``block``-sized
 diagonal chunks with GEMM updates in between, so the bulk of the FLOPs
 run through matrix-matrix products (the standard high-performance TRSM
 formulation). Each diagonal chunk is handed to LAPACK's native solver
-(:func:`scipy.linalg.solve_triangular`) in one call; a pure-NumPy
-column-loop fallback keeps the module importable without SciPy.
+(:func:`scipy.linalg.solve_triangular`) in one call.
 
-With a :class:`~repro.blas.buffers.BufferPool` passed as ``pool`` the
-inter-chunk GEMM products (and the loop fallback's rank-1 products) run
-through a rented workspace with ``np.matmul``/``np.multiply(...,
-out=)`` instead of allocating a temporary per chunk. The products and
-subtraction order are unchanged, so pooled and allocating runs are
-bitwise identical.
+The inter-chunk GEMM products run through a workspace rented from a
+:class:`~repro.blas.buffers.BufferPool` with ``np.matmul(..., out=)``
+instead of allocating a temporary per chunk; a caller that passes no
+``pool`` gets a call-local one.
 """
 
 from __future__ import annotations
@@ -32,16 +29,9 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from repro.blas.buffers import BufferPool, matmul_into, subtract_into
-
-try:  # SciPy is a declared dependency, but keep a pure-NumPy fallback.
-    from scipy.linalg import solve_triangular as _solve_triangular
-except ImportError:  # pragma: no cover - exercised via the _FORCE_LOOPS knob
-    _solve_triangular = None
-
-#: Test/benchmark knob: force the column-loop fallback even with SciPy.
-_FORCE_LOOPS = False
 
 
 def _native(
@@ -49,31 +39,27 @@ def _native(
     b: np.ndarray,
     lower: bool,
     unit: bool,
-    pool: Optional[BufferPool] = None,
-) -> np.ndarray | None:
-    """One LAPACK solve of the diagonal chunk, or None if unavailable.
+    pool: BufferPool,
+) -> np.ndarray:
+    """One LAPACK solve of the diagonal chunk.
 
-    With a pool, chunk operands contiguous in neither memory order are
-    staged through rented buffers — SciPy otherwise ``np.asarray``-copies
-    them per chunk. The solver sees the same values either way, so the
-    result is bitwise identical.
+    Chunk operands contiguous in neither memory order are staged
+    through rented buffers — SciPy otherwise ``np.asarray``-copies them
+    per chunk. The solver sees the same values either way.
     """
-    if _solve_triangular is None or _FORCE_LOOPS:
-        return None
     staged = []
     try:
-        if pool is not None:
-            if not (t.flags.c_contiguous or t.flags.f_contiguous):
-                tc = pool.checkout(t.shape, t.dtype, key="trsm.tri")
-                np.copyto(tc, t)
-                staged.append(tc)
-                t = tc
-            if not (b.flags.c_contiguous or b.flags.f_contiguous):
-                bc = pool.checkout(b.shape, b.dtype, key="trsm.rhs")
-                np.copyto(bc, b)
-                staged.append(bc)
-                b = bc
-        return _solve_triangular(
+        if not (t.flags.c_contiguous or t.flags.f_contiguous):
+            tc = pool.checkout(t.shape, t.dtype, key="trsm.tri")
+            np.copyto(tc, t)
+            staged.append(tc)
+            t = tc
+        if not (b.flags.c_contiguous or b.flags.f_contiguous):
+            bc = pool.checkout(b.shape, b.dtype, key="trsm.rhs")
+            np.copyto(bc, b)
+            staged.append(bc)
+            b = bc
+        return solve_triangular(
             t, b, lower=lower, unit_diagonal=unit, check_finite=False
         )
     finally:
@@ -101,30 +87,13 @@ def _sub_product(
     target: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
-    work: Optional[np.ndarray],
-    pool: Optional[BufferPool] = None,
+    work: np.ndarray,
+    pool: BufferPool,
 ) -> None:
-    """``target -= x @ y`` — through the rented flat workspace when one
-    is given, via the allocating temporary otherwise."""
-    if work is None:
-        target -= x @ y
-    elif target.size:
+    """``target -= x @ y`` through the rented flat workspace."""
+    if target.size:
         w = work[: target.size].reshape(target.shape)
         matmul_into(pool, x, y, w, key="trsm.stage")
-        subtract_into(target, w)
-
-
-def _sub_outer(
-    target: np.ndarray, x: np.ndarray, y: np.ndarray, work: Optional[np.ndarray]
-) -> None:
-    """``target -= np.outer(x, y)`` with the same workspace contract."""
-    if work is None:
-        target -= np.outer(x, y)
-    elif target.size:
-        w = work[: target.size].reshape(target.shape)
-        # k=1 GEMM outer product: bitwise equal to np.outer without the
-        # broadcast ufunc's internal iteration buffers.
-        np.matmul(x[:, None], y[None, :], out=w)
         subtract_into(target, w)
 
 
@@ -136,30 +105,19 @@ def trsm_lower_unit_left(
 ) -> np.ndarray:
     """Solve L X = B in place (unit lower-triangular L); returns B."""
     l, b = _check(l, b)
+    if pool is None:
+        pool = BufferPool()
     n = l.shape[0]
-    work_ctx = (
-        pool.rent((b.size,), b.dtype, key="trsm.work")
-        if pool is not None and b.size
-        else None
-    )
-    work = work_ctx.__enter__() if work_ctx is not None else None
-    try:
+    if b.size == 0:
+        return b
+    with pool.rent((b.size,), b.dtype, key="trsm.work") as work:
         for j0 in range(0, n, block):
             j1 = min(j0 + block, n)
-            solved = _native(
+            b[j0:j1, :] = _native(
                 l[j0:j1, j0:j1], b[j0:j1, :], lower=True, unit=True, pool=pool
             )
-            if solved is not None:
-                b[j0:j1, :] = solved
-            else:
-                for j in range(j0, j1):
-                    # Unit diagonal: no division.
-                    _sub_outer(b[j + 1 : j1, :], l[j + 1 : j1, j], b[j, :], work)
             if j1 < n:
                 _sub_product(b[j1:, :], l[j1:, j0:j1], b[j0:j1, :], work, pool)
-    finally:
-        if work_ctx is not None:
-            work_ctx.__exit__(None, None, None)
     return b
 
 
@@ -171,32 +129,21 @@ def trsm_upper_left(
 ) -> np.ndarray:
     """Solve U X = B in place (non-unit upper-triangular U); returns B."""
     u, b = _check(u, b)
+    if pool is None:
+        pool = BufferPool()
     n = u.shape[0]
     if n and np.any(np.diag(u) == 0):
         raise np.linalg.LinAlgError("singular upper factor in TRSM")
-    work_ctx = (
-        pool.rent((b.size,), b.dtype, key="trsm.work")
-        if pool is not None and b.size
-        else None
-    )
-    work = work_ctx.__enter__() if work_ctx is not None else None
-    try:
+    if b.size == 0:
+        return b
+    with pool.rent((b.size,), b.dtype, key="trsm.work") as work:
         for j1 in range(n, 0, -block):
             j0 = max(j1 - block, 0)
-            solved = _native(
+            b[j0:j1, :] = _native(
                 u[j0:j1, j0:j1], b[j0:j1, :], lower=False, unit=False, pool=pool
             )
-            if solved is not None:
-                b[j0:j1, :] = solved
-            else:
-                for j in range(j1 - 1, j0 - 1, -1):
-                    b[j, :] /= u[j, j]
-                    _sub_outer(b[j0:j, :], u[j0:j, j], b[j, :], work)
             if j0 > 0:
                 _sub_product(b[:j0, :], u[:j0, j0:j1], b[j0:j1, :], work, pool)
-    finally:
-        if work_ctx is not None:
-            work_ctx.__exit__(None, None, None)
     return b
 
 
@@ -212,28 +159,18 @@ def trsm_lower_unit_right(
     factored diagonal block when the panel sits to the *left* of it.
     """
     l, b = _check(l, b, left=False)
+    if pool is None:
+        pool = BufferPool()
     n = l.shape[0]
-    work_ctx = (
-        pool.rent((b.size,), b.dtype, key="trsm.work")
-        if pool is not None and b.size
-        else None
-    )
-    work = work_ctx.__enter__() if work_ctx is not None else None
-    try:
+    if b.size == 0:
+        return b
+    with pool.rent((b.size,), b.dtype, key="trsm.work") as work:
         for j0 in range(0, n, block):
             j1 = min(j0 + block, n)
             # X L_blk^T = B_blk transposes to L_blk X^T = B_blk^T.
-            solved = _native(
+            b[:, j0:j1] = _native(
                 l[j0:j1, j0:j1], b[:, j0:j1].T, lower=True, unit=True, pool=pool
-            )
-            if solved is not None:
-                b[:, j0:j1] = solved.T
-            else:
-                for j in range(j0, j1):
-                    _sub_outer(b[:, j + 1 : j1], b[:, j], l[j + 1 : j1, j], work)
+            ).T
             if j1 < n:
                 _sub_product(b[:, j1:], b[:, j0:j1], l[j1:, j0:j1].T, work, pool)
-    finally:
-        if work_ctx is not None:
-            work_ctx.__exit__(None, None, None)
     return b

@@ -60,9 +60,6 @@ The numeric paths (``native --numeric``, ``hybrid --numeric``,
     tile-executor pool width (default: all cores; ``1`` = inline);
 ``--no-pack-cache``
     disable the pack-once tile cache and re-pack every GEMM panel;
-``--no-buffer-pool``
-    disable the scratch-buffer arena and fall back to the allocating
-    kernel paths (the A/B ablation — results are bitwise identical);
 ``--alloc-profile``
     wrap the factor/solve phases in tracemalloc spans and record the
     steady-state temporary bytes in the result's ``alloc`` field.

@@ -29,8 +29,8 @@ operation — each byte counted exactly once) plus overlap accounting:
 requests), ``drain_s`` (background sender busy time) and ``hidden_s``
 (the portion of drain time that never blocked compute).
 
-Send-side staging: with a :class:`~repro.blas.buffers.BufferPool`
-attached (``World(..., buffer_pool=True)``), the segments of a chunked
+Send-side staging: every communicator owns a
+:class:`~repro.blas.buffers.BufferPool`, and the segments of a chunked
 transfer are staged in buffers rented from the sender's arena instead
 of freshly allocated per isend; the receiver returns each segment to
 the owning pool after reassembly. ``CommStats`` splits the payload
@@ -78,7 +78,7 @@ from typing import (
 
 import numpy as np
 
-from repro.blas.buffers import BufferPool, as_buffer_pool
+from repro.blas.buffers import BufferPool
 from repro.resilience.retry import CommResilienceStats, RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover — hints only
@@ -539,10 +539,6 @@ def waitall(requests: Sequence[Request], timeout: Optional[float] = None) -> Lis
 class World:
     """A fixed-size set of ranks with mailboxes and barrier state.
 
-    ``buffer_pool=True`` gives every rank's communicator its own
-    :class:`~repro.blas.buffers.BufferPool` for send-side segment
-    staging (pass a shared instance to pool across ranks).
-
     ``injector`` / ``retry`` switch the wire into resilient mode (see
     the module docstring): an injector without an explicit policy gets
     the default :class:`~repro.resilience.retry.RetryPolicy`, so every
@@ -553,7 +549,6 @@ class World:
         self,
         size: int,
         timeout_s: float = DEFAULT_TIMEOUT_S,
-        buffer_pool=None,
         injector: Optional["FaultInjector"] = None,
         retry: Optional[RetryPolicy] = None,
     ):
@@ -577,9 +572,7 @@ class World:
             (s, d): queue.Queue() for s in range(size) for d in range(size)
         }
         self._barrier = threading.Barrier(size)
-        self.comms = [
-            Comm(self, rank, buffer_pool=buffer_pool) for rank in range(size)
-        ]
+        self.comms = [Comm(self, rank) for rank in range(size)]
 
     def declare_dead(self, rank: int) -> None:
         """Mark a rank as failed so peers stop waiting on it."""
@@ -679,18 +672,14 @@ class World:
 class Comm:
     """One rank's endpoint."""
 
-    def __init__(self, world: World, rank: int, buffer_pool=None):
+    def __init__(self, world: World, rank: int):
         self.world = world
         self.rank = rank
         self.stats = CommStats()
-        #: Send-side staging arena (None: fresh copies per message).
-        #: ``True`` builds a per-rank pool, so ranks never contend; the
-        #: distinct name keeps its published counters separate from the
-        #: compute pools'.
-        if buffer_pool is True:
-            self.pool: Optional[BufferPool] = BufferPool(name="comm.buffer_pool")
-        else:
-            self.pool = as_buffer_pool(buffer_pool)
+        #: Send-side staging arena, one per rank so ranks never contend;
+        #: the distinct name keeps its published counters separate from
+        #: the compute pools'.
+        self.pool = BufferPool(name="comm.buffer_pool")
         #: Reassembled messages awaiting a matching recv, FIFO per
         #: (source, tag) — O(1) under heavy tag traffic.
         self._stash: Dict[Tuple[int, int], Deque[Any]] = {}

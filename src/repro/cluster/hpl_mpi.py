@@ -45,7 +45,7 @@ from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
-from repro.blas.buffers import BufferPool, as_buffer_pool, matmul_into
+from repro.blas.buffers import BufferPool, matmul_into
 from repro.blas.gemm import gemm
 from repro.blas.getrf import getrf
 from repro.blas.trsm import trsm_lower_unit_left
@@ -184,7 +184,6 @@ class DistributedHPL:
         pack_cache: bool = False,
         lookahead: bool = False,
         chunk_kb: Optional[float] = None,
-        buffer_pool: bool = True,
         alloc_profile: bool = False,
         fault_plan: "FaultPlan | str | None" = None,
         checkpoint_every: Optional[int] = None,
@@ -238,10 +237,8 @@ class DistributedHPL:
         self.workers = workers
         self.executor = executor
         self.pack_cache = pack_cache
-        # Buffer arena: every rank rents its kernel scratch and comm
-        # staging from its own pool (bitwise identical to the allocating
-        # paths); alloc_profile wraps the run in a tracemalloc span.
-        self.buffer_pool = bool(buffer_pool)
+        # Every rank rents its kernel scratch and comm staging from its
+        # own pools; alloc_profile wraps the run in a tracemalloc span.
         self.alloc_profile = bool(alloc_profile)
         self._executor = None
         self.grid = ProcessGrid(p, q)
@@ -311,7 +308,7 @@ class DistributedHPL:
         rows: np.ndarray,
         cols: np.ndarray,
         k: int,
-        pool: Optional[BufferPool] = None,
+        pool: BufferPool,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gather the stage-k panel to the diagonal rank, factor it with
         partial pivoting and scatter the factored rows back.
@@ -364,24 +361,20 @@ class DistributedHPL:
         cache: Optional[PackCache],
         k: int,
         u_key: tuple,
-        pool: Optional[BufferPool] = None,
+        pool: BufferPool,
     ) -> None:
         """GEMM-update ``a_loc[sub_rows, sub_cols] -= l21 @ u_block``
         through the configured substrate (offload engine, pack-once +
         tile executor, or plain BLAS). ``pool`` rents the staging and
-        product workspaces from the rank's arena; the call shapes and
-        values are unchanged, so pooled runs stay bitwise identical."""
+        product workspaces from the rank's arena."""
         sub = np.ix_(sub_rows, sub_cols)
         if self.use_offload:
             from repro.hybrid.offload import OffloadDGEMM
 
             m_t, n_t = sub_rows.size, sub_cols.size
             c = np.ascontiguousarray(a_loc[sub])
-            if pool is not None:
-                neg_l21 = pool.checkout(l21.shape, l21.dtype, key="dist.l21neg")
-                np.negative(l21, out=neg_l21)
-            else:
-                neg_l21 = -np.ascontiguousarray(l21)
+            neg_l21 = pool.checkout(l21.shape, l21.dtype, key="dist.l21neg")
+            np.negative(l21, out=neg_l21)
             try:
                 OffloadDGEMM(
                     m_t,
@@ -389,11 +382,10 @@ class DistributedHPL:
                     kt=l21.shape[1],
                     tile=(max(1, m_t // 2), max(1, n_t // 2)),
                     host_assist=True,
-                    buffer_pool=pool,
+                    pool=pool,
                 ).run(neg_l21, np.ascontiguousarray(u_block), c)
             finally:
-                if pool is not None:
-                    pool.release(neg_l21)
+                pool.release(neg_l21)
             a_loc[sub] = c
         elif cache is not None or self._executor is not None:
             # Pack-once + stripe substrate: the fancy-indexed region is
@@ -412,7 +404,7 @@ class DistributedHPL:
                 pool=pool,
             )
             a_loc[sub] = c
-        elif pool is not None:
+        else:
             # Same gather / update-in-place / scatter the fancy-indexed
             # in-place subtraction performs, with the product rented.
             c = a_loc[sub]
@@ -420,8 +412,6 @@ class DistributedHPL:
                 matmul_into(pool, l21, u_block, w, key="dist.trailing")
                 np.subtract(c, w, out=c)
             a_loc[sub] = c
-        else:
-            a_loc[sub] -= l21 @ u_block
 
     def _split_trailing_cols(
         self, cols: np.ndarray, trail_cols_mask: np.ndarray, k: int
@@ -536,7 +526,7 @@ class DistributedHPL:
         a_loc = hpl_submatrix(self.n, rows, cols, seed=self.seed,
                               dtype=self.np_dtype)
         cache = PackCache() if self.pack_cache else None
-        pool = as_buffer_pool(self.buffer_pool)  # per-rank arena
+        pool = BufferPool()  # per-rank arena
         k_start, stage_pivots, _saved_panel = self._restore(comm, a_loc)
         bcast_wall_s, bcast_calls = 0.0, 0  # per-algorithm broadcast time
 
@@ -655,7 +645,7 @@ class DistributedHPL:
         a_loc = hpl_submatrix(self.n, rows, cols, seed=self.seed,
                               dtype=self.np_dtype)
         cache = PackCache() if self.pack_cache else None
-        pool = as_buffer_pool(self.buffer_pool)  # per-rank arena
+        pool = BufferPool()  # per-rank arena
         k_start, stage_pivots, saved_panel = self._restore(comm, a_loc)
         nstages = bc.n_blocks
         algo = self.bcast_algo
@@ -841,7 +831,7 @@ class DistributedHPL:
         bcast_wall_s: float,
         bcast_calls: int,
         stage_overlap: List[Tuple[float, float]],
-        pool: Optional[BufferPool] = None,
+        pool: BufferPool,
     ):
         # Gather the factored matrix at rank 0 and solve there.
         # Snapshot traffic before the result gather adds its own bytes.
@@ -886,10 +876,8 @@ class DistributedHPL:
         # Send-side staging split: pooled (reused) vs freshly copied.
         metrics.counter("comm.rank0.staged_bytes").inc(comm.stats.staged_bytes)
         metrics.counter("comm.rank0.copied_bytes").inc(comm.stats.copied_bytes)
-        if comm.pool is not None:
-            comm.pool.publish(metrics)
-        if pool is not None:
-            pool.publish(metrics)
+        comm.pool.publish(metrics)
+        pool.publish(metrics)
         for r, nbytes in enumerate(bytes_by_rank):
             metrics.gauge(f"comm.bytes_by_rank.{r}").set(nbytes)
         if bcast_calls:
@@ -1052,7 +1040,6 @@ class DistributedHPL:
                     self._k_stop = k_stop
                     world = World(
                         self.grid.size,
-                        buffer_pool=self.buffer_pool,
                         injector=self._injector,
                         retry=self.retry,
                     )
@@ -1071,7 +1058,6 @@ class DistributedHPL:
                         stats = redistribute(
                             self.checkpoint_store, plan, k_stop,
                             chunk_bytes=self.chunk_bytes,
-                            buffer_pool=self.buffer_pool,
                         )
                         regrids += 1
                         regrid_wall_s += stats["wall_s"]
@@ -1104,7 +1090,6 @@ class DistributedHPL:
                                 stats = redistribute(
                                     store, plan, cut,
                                     chunk_bytes=self.chunk_bytes,
-                                    buffer_pool=self.buffer_pool,
                                 )
                                 regrids += 1
                                 regrid_wall_s += stats["wall_s"]

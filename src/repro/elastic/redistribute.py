@@ -149,8 +149,19 @@ def _redistribute_rank(
                        chunk_bytes=chunk_bytes, op="redistribute")
         )
 
+    # The in-flight panel's pivots live on an old owner-column rank
+    # (look-ahead cuts save them there; None otherwise).
+    panel_src = old_grid.rank_of(0, cursor % old.q)
+    panel_ipiv = None
+    if rank == panel_src and "panel_ipiv" in old_state:
+        panel_ipiv = np.asarray(old_state["panel_ipiv"])
+
     if rank >= new_size:
-        # Old-only rank (shrink): its blocks are on the wire; done.
+        # Old-only rank (shrink): its blocks are on the wire. A leaving
+        # pivot source pushes the panel pivots to rank 0, which
+        # broadcasts them among the survivors.
+        if rank == panel_src:
+            comm.send(panel_ipiv, 0, tag=_REDIST_TAG - 1)
         comm.waitall(send_reqs)
         return sent_bytes
 
@@ -168,8 +179,7 @@ def _redistribute_rank(
             new_a[_block_slice(new_bc, t.bi, t.bj)] = block
 
     # Replicated restart state: pivots and epoch from rank 0 (present
-    # in every layout), the in-flight panel pivots from an old
-    # owner-column rank (look-ahead cuts save them there).
+    # in every layout), then the in-flight panel pivots.
     meta = None
     if rank == 0:
         meta = (
@@ -177,22 +187,11 @@ def _redistribute_rank(
             int(old_state["epoch"]),
         )
     pivots, epoch = comm.bcast(meta, root=0, ranks=list(range(new_size)))
-    panel_src = old_grid.rank_of(0, cursor % old.q)
-    panel_ipiv = None
-    if rank == panel_src:
-        panel_ipiv = (
-            np.asarray(old_state["panel_ipiv"])
-            if "panel_ipiv" in old_state else None
-        )
     if panel_src < new_size:
         panel_ipiv = comm.bcast(
             panel_ipiv, root=panel_src, ranks=list(range(new_size))
         )
     else:
-        # The source rank is leaving the world; it pushes to rank 0,
-        # which broadcasts among the survivors.
-        if rank == panel_src:
-            comm.send(panel_ipiv, 0, tag=_REDIST_TAG - 1)
         if rank == 0:
             panel_ipiv = comm.recv(panel_src, tag=_REDIST_TAG - 1)
         panel_ipiv = comm.bcast(
@@ -222,7 +221,6 @@ def redistribute(
     plan: RelayoutPlan,
     cursor: int,
     chunk_bytes: Optional[int] = None,
-    buffer_pool: bool = True,
 ) -> Dict[str, float]:
     """Execute ``plan`` over the cut at ``cursor``, rewriting the store.
 
@@ -242,7 +240,7 @@ def redistribute(
         )
     chunk = DEFAULT_CHUNK_BYTES if chunk_bytes is None else int(chunk_bytes)
     t0 = time.perf_counter()
-    world = World(plan.world_size, buffer_pool=buffer_pool)
+    world = World(plan.world_size)
     try:
         sent = world.run(_redistribute_rank, store, plan, cursor, chunk)
     finally:

@@ -18,7 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.blas.buffers import as_buffer_pool
 from repro.hpl.matgen import hpl_system
 from repro.hpl.mxp import expected_iterations, refine_model_time_s, refine_to_double
 from repro.hpl.residual import hpl_residual, residual_passes
@@ -102,7 +101,6 @@ class NativeHPL:
         workers: Optional[int] = None,
         executor: str = "thread",
         pack_cache: bool = True,
-        buffer_pool: bool = True,
         alloc_profile: bool = False,
         dtype: str = "float64",
         mxp: bool = False,
@@ -127,7 +125,6 @@ class NativeHPL:
         self.workers = workers
         self.executor = executor
         self.pack_cache = pack_cache
-        self.buffer_pool = buffer_pool
         self.alloc_profile = alloc_profile
         self.dtype = dtype
         self.mxp = mxp
@@ -167,11 +164,10 @@ class NativeHPL:
         Numeric runs execute every trailing update on the pack-once +
         tile-executor substrate (``workers`` wide, all cores by default;
         ``pack_cache=False`` reverts to plain NumPy updates); the cache
-        and pool counters land in the result's metrics registry. With
-        ``buffer_pool`` (default on) the kernels rent their scratch from
-        a :class:`~repro.blas.buffers.BufferPool` — bitwise identical to
-        ``buffer_pool=False``, the allocating A/B ablation — and
-        ``alloc_profile`` wraps the factor/solve phases in tracemalloc
+        and pool counters land in the result's metrics registry. The
+        kernels rent their scratch from the workspace's
+        :class:`~repro.blas.buffers.BufferPool`, and ``alloc_profile``
+        wraps the factor/solve phases in tracemalloc
         spans recorded as the result's ``alloc`` field.
         """
         workspace = None
@@ -190,14 +186,13 @@ class NativeHPL:
                 a0, b = hpl_system(self.n, seed, dtype=np_dtype)
                 a_work = a0.copy()
             executor = make_executor(self.executor, self.workers)
-            pool = as_buffer_pool(self.buffer_pool)
             workspace = LUWorkspace(
                 a_work,
                 self.nb,
                 pack_cache=self.pack_cache,
                 executor=executor,
-                buffer_pool=pool,
             )
+            pool = workspace.pool
         sched = self._make_scheduler()
         with profiler.span("hpl.factor"):
             result: ScheduleResult = sched.run(workspace)
@@ -264,8 +259,7 @@ class NativeHPL:
             out.passed = passed
             if workspace.pack_cache is not None:
                 workspace.pack_cache.publish(metrics)
-            if pool is not None:
-                pool.publish(metrics)
+            pool.publish(metrics)
             profiler.publish(metrics)
             out.alloc = profiler.to_dict()
             executor.publish(metrics)

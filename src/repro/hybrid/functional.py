@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.blas.buffers import as_buffer_pool
+from repro.blas.buffers import BufferPool
 from repro.blas.getrf import getrf
 from repro.blas.laswp import laswp
 from repro.blas.trsm import trsm_lower_unit_left
@@ -51,7 +51,7 @@ def hybrid_blocked_lu(
     host_assist: bool = True,
     workers=None,
     pack_cache=None,
-    buffer_pool=None,
+    pool: Optional[BufferPool] = None,
 ) -> tuple:
     """Factor ``a`` in place with offloaded trailing updates.
 
@@ -63,24 +63,24 @@ def hybrid_blocked_lu(
     ``pack_cache`` (True or a :class:`~repro.blas.workspace.PackCache`)
     lets each stage's offload engine pack its resident A/B strips once
     and reuse them across tiles; ``workers`` fans the card-side stripe
-    GEMMs over a :class:`~repro.parallel.TileExecutor`; ``buffer_pool``
-    (True or a :class:`~repro.blas.buffers.BufferPool`) rents the host
-    kernels' scratch and the offload staging buffers (the ``-L21`` / U
-    / C contiguous copies) from the arena instead of allocating per
-    stage.
+    GEMMs over a :class:`~repro.parallel.TileExecutor`; ``pool`` (a
+    :class:`~repro.blas.buffers.BufferPool`, call-local when omitted)
+    rents the host kernels' scratch and the offload staging buffers (the
+    ``-L21`` / U / C contiguous copies) instead of allocating per stage.
     """
     if pack_cache is True:
         pack_cache = PackCache()
     elif pack_cache is False:
         pack_cache = None
-    pool = as_buffer_pool(buffer_pool)
+    if pool is None:
+        pool = BufferPool()
     own_executor = (
         workers is not None
         and not isinstance(workers, TileExecutor)
         and not is_process_executor(workers)
     )
     executor = as_executor(workers)
-    ws = LUWorkspace(a, nb)  # reuse the geometry/pivot bookkeeping
+    ws = LUWorkspace(a, nb, pool=pool)  # reuse the geometry/pivot bookkeeping
     try:
         for i in range(ws.n_panels):
             r0 = ws.stage_row0(i)
@@ -101,21 +101,15 @@ def hybrid_blocked_lu(
             m_t = trailing.shape[0] - w
             n_t = trailing.shape[1]
             if m_t > 0:
-                # Stage the contiguous offload operands: -L21 (the sign
-                # folds the subtraction into the accumulate), U and C.
-                # With a pool the staging buffers are rented, not
-                # allocated per stage; the values are identical.
-                if pool is not None:
-                    neg_l21 = pool.checkout((m_t, w), a.dtype, key="hybrid.l21")
-                    np.negative(a[r0 + w :, cols], out=neg_l21)
-                    u = pool.checkout((w, n_t), a.dtype, key="hybrid.u")
-                    np.copyto(u, u_panel)
-                    c = pool.checkout((m_t, n_t), a.dtype, key="hybrid.c")
-                    np.copyto(c, trailing[w:, :])
-                else:
-                    neg_l21 = -np.ascontiguousarray(a[r0 + w :, cols])
-                    u = np.ascontiguousarray(u_panel)
-                    c = np.ascontiguousarray(trailing[w:, :])
+                # Stage the contiguous offload operands in rented buffers:
+                # -L21 (the sign folds the subtraction into the
+                # accumulate), U and C.
+                neg_l21 = pool.checkout((m_t, w), a.dtype, key="hybrid.l21")
+                np.negative(a[r0 + w :, cols], out=neg_l21)
+                u = pool.checkout((w, n_t), a.dtype, key="hybrid.u")
+                np.copyto(u, u_panel)
+                c = pool.checkout((m_t, n_t), a.dtype, key="hybrid.c")
+                np.copyto(c, trailing[w:, :])
                 try:
                     tile_choice = tile or (max(1, m_t // 2), max(1, n_t // 2))
                     OffloadDGEMM(
@@ -127,14 +121,13 @@ def hybrid_blocked_lu(
                         host_assist=host_assist,
                         pack_cache=pack_cache,
                         executor=executor,
-                        buffer_pool=pool,
+                        pool=pool,
                     ).run(neg_l21, u, c)
                     trailing[w:, :] = c
                 finally:
-                    if pool is not None:
-                        pool.release(neg_l21)
-                        pool.release(u)
-                        pool.release(c)
+                    pool.release(neg_l21)
+                    pool.release(u)
+                    pool.release(c)
                 if pack_cache is not None:
                     # This stage's strips are dead; only counters persist.
                     pack_cache.invalidate()
@@ -178,7 +171,6 @@ def run_hybrid_numeric(
     pack_cache: bool = True,
     host_assist: bool = True,
     seed: int = 42,
-    buffer_pool: bool = True,
     alloc_profile: bool = False,
     dtype: str = "float64",
     mxp: bool = False,
@@ -191,9 +183,8 @@ def run_hybrid_numeric(
     pool counters land in ``metrics``. ``workers=None`` uses all cores;
     ``executor`` picks the stripe fan-out backend ("thread" or
     "process" — shared-memory worker processes, bitwise identical).
-    ``buffer_pool=False`` selects the allocating reference paths (the
-    ``--no-buffer-pool`` A/B ablation); ``alloc_profile`` wraps the
-    factor and solve phases in tracemalloc spans recorded as ``alloc``.
+    ``alloc_profile`` wraps the factor and solve phases in tracemalloc
+    spans recorded as ``alloc``.
 
     ``dtype="float32"`` factors in single precision; with ``mxp`` the
     SP factorization is followed by iterative refinement against the DP
@@ -223,7 +214,7 @@ def run_hybrid_numeric(
         a0, b = hpl_system(n, seed, dtype=np_dtype)
         a_work = a0.copy()
     cache = PackCache() if pack_cache else None
-    pool = as_buffer_pool(buffer_pool)
+    pool = BufferPool()
     profiler = AllocProfiler(enabled=alloc_profile)
     executor = make_executor(executor, workers)
     report = None
@@ -237,7 +228,7 @@ def run_hybrid_numeric(
                 workers=executor,
                 pack_cache=cache,
                 host_assist=host_assist,
-                buffer_pool=pool,
+                pool=pool,
             )
         factor_s = time.perf_counter() - t0
         with profiler.span("hybrid.solve"):
@@ -259,8 +250,7 @@ def run_hybrid_numeric(
     metrics = MetricsRegistry()
     if cache is not None:
         cache.publish(metrics)
-    if pool is not None:
-        pool.publish(metrics)
+    pool.publish(metrics)
     profiler.publish(metrics)
     executor.publish(metrics)
     metrics.gauge("hpl.wall_time_s").set(wall_s)

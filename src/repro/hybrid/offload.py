@@ -31,7 +31,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.blas.buffers import BufferPool, as_buffer_pool, matmul_into
+from repro.blas.buffers import BufferPool, matmul_into
 from repro.blas.gemm import gemm as blas_gemm
 from repro.blas.workspace import PackCache
 from repro.hybrid.tile_select import HYBRID_KT, KERNEL_K, best_tile_size
@@ -84,7 +84,7 @@ class OffloadDGEMM:
         link: Optional[PCIeLink] = None,
         pack_cache=None,
         executor=None,
-        buffer_pool=None,
+        pool: Optional[BufferPool] = None,
     ):
         if m < 1 or n < 1 or kt < 1:
             raise ValueError("matrix dimensions must be positive")
@@ -102,7 +102,7 @@ class OffloadDGEMM:
         self.pack_cache = pack_cache
         # Scratch arena threaded into the card-side GEMMs and the host
         # path's product, so steady-state tiles allocate nothing.
-        self.buffer_pool: Optional[BufferPool] = as_buffer_pool(buffer_pool)
+        self.pool = BufferPool() if pool is None else pool
         self.executor = as_executor(executor)
         self.cal = cal or default_calibration()
         self.link = link or PCIeLink()
@@ -225,20 +225,18 @@ class OffloadDGEMM:
                     a_key=("offload.a", tile.r0, tile.r1),
                     b_key=("offload.b", col_lo + tile.c0, col_lo + tile.c1),
                     executor=self.executor,
-                    pool=self.buffer_pool,
+                    pool=self.pool,
                 )
-            elif self.buffer_pool is not None:
+            else:
                 target = c[rows, cols]
-                with self.buffer_pool.rent(
+                with self.pool.rent(
                     target.shape, target.dtype, key="offload.host"
                 ) as prod:
                     matmul_into(
-                        self.buffer_pool, a[rows, :], b[:, cols], prod,
+                        self.pool, a[rows, :], b[:, cols], prod,
                         key="offload.host",
                     )
                     np.add(target, prod, out=target)
-            else:
-                c[rows, cols] += a[rows, :] @ b[:, cols]
 
         def transfer(link: Lock, nbytes: float, worker: str, kind: str):
             yield from link.acquire()
@@ -362,8 +360,8 @@ class OffloadDGEMM:
         sim.publish_metrics(metrics)
         if self.pack_cache is not None:
             self.pack_cache.publish(metrics)
-        if self.buffer_pool is not None:
-            self.buffer_pool.publish(metrics)
+        if numeric:
+            self.pool.publish(metrics)
         if self.executor is not None:
             self.executor.publish(metrics)
         return OffloadResult(

@@ -27,8 +27,6 @@ shard of a stage's updates, so it cannot retire the stage itself).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.lu.dag import PanelDAG, Task, TaskType
@@ -41,7 +39,7 @@ from repro.parallel import shm_task
 # ---------------------------------------------------------------------------
 
 @shm_task("lu.attach")
-def _task_attach(ctx, *, a_ref, ipiv_ref, nb, use_packed_gemm, pack_cache, buffer_pool):
+def _task_attach(ctx, *, a_ref, ipiv_ref, nb, use_packed_gemm, pack_cache):
     """Build this worker's LUWorkspace over the shared matrix."""
     a = ctx.resolve(a_ref)
     ws = LUWorkspace(
@@ -50,7 +48,6 @@ def _task_attach(ctx, *, a_ref, ipiv_ref, nb, use_packed_gemm, pack_cache, buffe
         use_packed_gemm=bool(use_packed_gemm),
         pack_cache=bool(pack_cache),
         executor=None,  # stripes stay serial inside a worker
-        buffer_pool=bool(buffer_pool),
     )
     ctx.state["lu"] = {"ws": ws, "ipiv": ctx.resolve(ipiv_ref), "nb": int(nb)}
     return None
@@ -83,7 +80,7 @@ def _task_stage_done(ctx, *, stage):
 # Parent-side drivers
 # ---------------------------------------------------------------------------
 
-def _setup(executor, a: np.ndarray, nb: int, use_packed_gemm, pack_cache, buffer_pool):
+def _setup(executor, a: np.ndarray, nb: int, use_packed_gemm, pack_cache, pool):
     """Adopt the matrix + pivot vector into the arena and build the
     worker-side workspaces. Returns (parent ws, shared a, shared ipiv)."""
     arena = executor.arena
@@ -98,11 +95,10 @@ def _setup(executor, a: np.ndarray, nb: int, use_packed_gemm, pack_cache, buffer
         nb=int(nb),
         use_packed_gemm=bool(use_packed_gemm),
         pack_cache=bool(pack_cache),
-        buffer_pool=bool(buffer_pool),
     )
     # The parent only factors panels and finalizes — no trailing GEMMs —
-    # so it needs the buffer pool (getrf/laswp scratch) but no cache.
-    ws = LUWorkspace(shm_a, nb, buffer_pool=bool(buffer_pool))
+    # so it needs its buffer pool (getrf/laswp scratch) but no cache.
+    ws = LUWorkspace(shm_a, nb, pool=pool)
     return ws, shm_a, shm_ipiv
 
 
@@ -127,7 +123,7 @@ def process_blocked_lu(
     executor,
     use_packed_gemm: bool = False,
     pack_cache=None,
-    buffer_pool=None,
+    pool=None,
     inner_executor=None,
 ) -> tuple:
     """:func:`repro.lu.factorize.blocked_lu` with process-backed update
@@ -138,7 +134,7 @@ def process_blocked_lu(
     a worker process the stripes of one update run serially; the
     parallelism lives at the update level.
     """
-    ws, shm_a, shm_ipiv = _setup(executor, a, nb, use_packed_gemm, pack_cache, buffer_pool)
+    ws, shm_a, shm_ipiv = _setup(executor, a, nb, use_packed_gemm, pack_cache, pool)
     for i in range(ws.n_panels):
         ws.execute(Task.panel_task(i))
         _publish_pivots(ws, shm_ipiv, i)
@@ -156,7 +152,7 @@ def process_lu_dag(
     executor,
     use_packed_gemm: bool = False,
     pack_cache=None,
-    buffer_pool=None,
+    pool=None,
     inner_executor=None,
 ) -> tuple:
     """:func:`repro.lu.factorize.lu_via_dag` wave execution with the
@@ -167,7 +163,7 @@ def process_lu_dag(
     update batch is dispatched; simultaneously runnable updates write
     disjoint panels, so the shard assignment cannot change any sum.
     """
-    ws, shm_a, shm_ipiv = _setup(executor, a, nb, use_packed_gemm, pack_cache, buffer_pool)
+    ws, shm_a, shm_ipiv = _setup(executor, a, nb, use_packed_gemm, pack_cache, pool)
     dag = PanelDAG(ws.n_panels)
     updates_left = [ws.n_panels - i - 1 for i in range(ws.n_panels)]
     while not dag.done:

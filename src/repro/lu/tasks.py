@@ -26,12 +26,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.blas.buffers import (
-    BufferPool,
-    as_buffer_pool,
-    matmul_into,
-    subtract_into,
-)
+from repro.blas.buffers import BufferPool, matmul_into, subtract_into
 from repro.blas.gemm import gemm
 from repro.blas.getrf import getrf
 from repro.blas.laswp import laswp
@@ -51,12 +46,12 @@ class LUWorkspace:
     then invalidated the moment the stage's last update retires. An
     ``executor`` (worker count or :class:`~repro.parallel.TileExecutor`)
     is forwarded to those GEMMs so a serial task order can still fan the
-    stripe grid across threads. A ``buffer_pool`` (``True`` or a
-    :class:`~repro.blas.buffers.BufferPool`) is threaded into every
-    kernel — getrf scratch, laswp gathers, trsm workspaces, GEMM
-    stripes and the plain-path trailing product — so steady-state
-    stages rent their temporaries from the arena instead of allocating;
-    pooled and unpooled runs are bitwise identical.
+    stripe grid across threads. One
+    :class:`~repro.blas.buffers.BufferPool` (``pool``, or the
+    workspace's own) is threaded into every kernel — getrf scratch,
+    laswp gathers, trsm workspaces, GEMM stripes and the plain-path
+    trailing product — so steady-state stages rent their temporaries
+    from the arena instead of allocating.
     """
 
     def __init__(
@@ -66,7 +61,7 @@ class LUWorkspace:
         use_packed_gemm: bool = False,
         pack_cache=None,
         executor=None,
-        buffer_pool=None,
+        pool: Optional[BufferPool] = None,
     ):
         a = np.asarray(a)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -98,7 +93,7 @@ class LUWorkspace:
         elif pack_cache is False:
             pack_cache = None
         self.pack_cache: Optional[PackCache] = pack_cache
-        self.buffer_pool: Optional[BufferPool] = as_buffer_pool(buffer_pool)
+        self.pool = BufferPool() if pool is None else pool
         # Per-stage count of outstanding trailing updates, so the stage's
         # packed L21 can be dropped as soon as its last consumer retires.
         self._updates_left = [self.n_panels - i - 1 for i in range(self.n_panels)]
@@ -131,7 +126,7 @@ class LUWorkspace:
             raise RuntimeError(f"panel {i} factored twice")
         r0 = self.stage_row0(i)
         panel = self.a[r0:, self.panel_cols(i)]
-        self.stage_ipiv[i] = getrf(panel, pool=self.buffer_pool)
+        self.stage_ipiv[i] = getrf(panel, pool=self.pool)
 
     def _run_update(self, i: int, p: int) -> None:
         ipiv = self.stage_ipiv[i]
@@ -141,11 +136,11 @@ class LUWorkspace:
         w = self.panel_width(i)
         block = self.a[r0:, self.panel_cols(p)]
         # DLASWP: stage i's swaps, local to rows r0...
-        laswp(block, ipiv, forward=True, pool=self.buffer_pool)
+        laswp(block, ipiv, forward=True, pool=self.pool)
         # DTRSM: U block = L11^{-1} @ top rows.
         l11 = self.a[r0 : r0 + w, self.panel_cols(i)]
         u_block = block[:w, :]
-        trsm_lower_unit_left(l11, u_block, pool=self.buffer_pool)
+        trsm_lower_unit_left(l11, u_block, pool=self.pool)
         # DGEMM: trailing rows -= L21 @ U block.
         if block.shape[0] > w:
             l21 = self.a[r0 + w :, self.panel_cols(i)]
@@ -160,24 +155,20 @@ class LUWorkspace:
                     a_key=("lu.l21", i),
                     b_key=("lu.u", i, p),
                     executor=self.executor,
-                    pool=self.buffer_pool,
+                    pool=self.pool,
                 )
             elif self.use_packed_gemm:
                 gemm(
                     l21, u_block, block[w:, :], alpha=-1.0, beta=1.0,
-                    executor=self.executor, pool=self.buffer_pool,
+                    executor=self.executor, pool=self.pool,
                 )
-            elif self.buffer_pool is not None:
+            else:
                 trailing = block[w:, :]
-                with self.buffer_pool.rent(
+                with self.pool.rent(
                     trailing.shape, trailing.dtype, key="lu.trailing"
                 ) as prod:
-                    matmul_into(
-                        self.buffer_pool, l21, u_block, prod, key="lu.trailing"
-                    )
+                    matmul_into(self.pool, l21, u_block, prod, key="lu.trailing")
                     subtract_into(trailing, prod)
-            else:
-                block[w:, :] -= l21 @ u_block
         if self.pack_cache is not None:
             # The U panel is consumed by exactly this update; the L21
             # panel dies with the stage's last trailing update.
@@ -204,7 +195,7 @@ class LUWorkspace:
                 self.stage_ipiv[i],
                 offset=r0,
                 forward=True,
-                pool=self.buffer_pool,
+                pool=self.pool,
             )
         if self._restore_to is not None:
             np.copyto(self._restore_to, self.a)

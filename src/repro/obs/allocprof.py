@@ -24,8 +24,8 @@ record :meth:`AllocProfiler.to_dict` into their
 
 tracemalloc sees Python-level allocations (every NumPy array object's
 data buffer) but not allocator-internal reuse; numbers are therefore a
-faithful *relative* measure — pooled vs allocating runs of the same
-code — which is exactly what the regression gate compares.
+faithful *relative* measure — the same code before and after a
+change — which is exactly what the regression gate compares.
 """
 
 from __future__ import annotations

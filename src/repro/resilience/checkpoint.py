@@ -5,8 +5,8 @@ pivots, progress cursor, comm epoch — at panel boundaries into a
 :class:`CheckpointStore`. The store keeps each checkpoint as a byte
 blob in a flat binary container (a JSON index of names/dtypes/shapes
 followed by the raw array bytes — per-blob encode/decode is a memcpy,
-an order of magnitude faster than the ``np.savez`` container it
-replaces, whose legacy blobs still load), either in memory (default:
+an order of magnitude faster than an ``np.savez`` container), either
+in memory (default:
 rollback across in-process restart attempts) or on disk (``dir=...``:
 survives the process). Saves and loads deep-copy through the
 serialised bytes, so a restored state can never alias live rank
@@ -29,7 +29,6 @@ which relayout plan applies to a cut.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import threading
@@ -39,8 +38,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-#: Container magic of the flat binary blob encoding (anything else is
-#: treated as a legacy ``np.savez`` blob and loaded through ``np.load``).
+#: Container magic of the flat binary blob encoding; a blob without it
+#: is refused with :class:`CheckpointLayoutError`.
 _BLOB_MAGIC = b"RCK1"
 
 
@@ -68,9 +67,10 @@ def _encode_flat(flat: Dict[str, np.ndarray]) -> bytes:
 def _decode_flat(blob: bytes) -> Dict[str, np.ndarray]:
     """Invert :func:`_encode_flat` into fresh, writable arrays."""
     if blob[:4] != _BLOB_MAGIC:
-        # Legacy np.savez container from an older store.
-        with np.load(io.BytesIO(blob)) as npz:
-            return {name: npz[name] for name in npz.files}
+        raise CheckpointLayoutError(
+            f"not a checkpoint blob (magic {bytes(blob[:4])!r}, "
+            f"expected {_BLOB_MAGIC!r})"
+        )
     head_len = int.from_bytes(blob[4:12], "little")
     index = json.loads(blob[12:12 + head_len].decode())
     flat: Dict[str, np.ndarray] = {}
@@ -286,7 +286,8 @@ class CheckpointStore:
 
         With ``expect_layout``, a blob written under any *other*
         recorded geometry raises :class:`CheckpointLayoutError` —
-        headerless legacy blobs still load (nothing to check against).
+        blobs saved without a layout still load (nothing to check
+        against).
         """
         flat = self._read_flat(rank, cursor)
         if expect_layout is not None:
@@ -301,7 +302,7 @@ class CheckpointStore:
         return unpack_state(flat)
 
     def layout(self, rank: int, cursor: int) -> Optional[LayoutHeader]:
-        """The layout header of one blob (None for legacy blobs)."""
+        """The layout header of one blob (None if saved without one)."""
         return LayoutHeader.from_flat(self._read_flat(rank, cursor))
 
     def cursors(self, rank: int) -> List[int]:

@@ -117,7 +117,6 @@ class RunSpec:
     workers: Optional[int] = None
     executor: str = "thread"
     pack_cache: bool = True
-    buffer_pool: bool = True
     alloc_profile: bool = False
     fault_plan: Optional[str] = None
     checkpoint_every: Optional[int] = None
@@ -572,9 +571,6 @@ RUN_FLAGS: Tuple[FlagDef, ...] = (
             kinds={k: {"default": "thread"} for k in _ALL}),
     FlagDef("pack_cache", "--no-pack-cache",
             "disable the pack-once tile cache (re-pack every GEMM panel)",
-            action="store_true", invert=True, kinds={k: {} for k in _ALL}),
-    FlagDef("buffer_pool", "--no-buffer-pool",
-            "disable the scratch-buffer arena (allocate per call instead)",
             action="store_true", invert=True, kinds={k: {} for k in _ALL}),
     FlagDef("alloc_profile", "--alloc-profile",
             "record tracemalloc allocation spans in the result's alloc field",

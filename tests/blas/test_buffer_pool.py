@@ -8,7 +8,6 @@ import pytest
 from repro.blas.buffers import (
     BufferPool,
     BufferPoolError,
-    as_buffer_pool,
     matmul_into,
     subtract_into,
 )
@@ -158,17 +157,6 @@ class TestAccounting:
         assert snap["counters"]["test.pool.releases"] == 1
         assert snap["gauges"]["test.pool.peak_bytes"] == 4 * 8
         pool.publish(None)  # no-op
-
-
-class TestCoercion:
-    def test_as_buffer_pool(self):
-        assert as_buffer_pool(None) is None
-        assert as_buffer_pool(False) is None
-        fresh = as_buffer_pool(True)
-        assert isinstance(fresh, BufferPool)
-        assert as_buffer_pool(fresh) is fresh
-        with pytest.raises(TypeError):
-            as_buffer_pool("pool")
 
 
 class TestHelpers:

@@ -1,22 +1,16 @@
-"""Property tests: the vectorized pivot-permutation and TRSM paths
-against their step-by-step reference loops."""
+"""Property tests: the vectorized pivot-permutation path against its
+step-by-step reference loop."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.blas.trsm as trsm_mod
 from repro.blas.laswp import (
     _pivots_to_permutation_loop,
     apply_pivots_to_vector,
     laswp,
     pivots_to_permutation,
-)
-from repro.blas.trsm import (
-    trsm_lower_unit_left,
-    trsm_lower_unit_right,
-    trsm_upper_left,
 )
 
 
@@ -118,51 +112,3 @@ def test_out_of_range_swap_raises():
         laswp(a, np.array([2]), offset=2)  # offset pushes partner to row 4
     # A trivial self-swap never reads the out-of-range row.
     laswp(a, np.array([0]), offset=3)
-
-
-# --- TRSM: LAPACK chunks vs the pure-NumPy column loops ---------------------
-
-
-@pytest.fixture
-def force_loops():
-    trsm_mod._FORCE_LOOPS = True
-    try:
-        yield
-    finally:
-        trsm_mod._FORCE_LOOPS = False
-
-
-@pytest.mark.parametrize("n,width,block", [(5, 3, 64), (64, 17, 16), (97, 8, 32)])
-def test_trsm_loop_fallback_matches_native(force_loops, n, width, block):
-    rng = np.random.default_rng(9)
-    # Scale the off-diagonals down: unit triangulars with O(1) entries
-    # have exponentially growing inverses, which would swamp the
-    # reconstruction check with conditioning noise.
-    scale = 1.0 / np.sqrt(n)
-    l = np.tril(rng.standard_normal((n, n)), -1) * scale + np.eye(n)
-    u = np.triu(rng.standard_normal((n, n)), 1) * scale + np.diag(
-        np.full(n, 4.0)
-    )
-    b0 = rng.standard_normal((n, width))
-
-    looped = trsm_lower_unit_left(l, b0.copy(), block=block)
-    trsm_mod._FORCE_LOOPS = False
-    native = trsm_lower_unit_left(l, b0.copy(), block=block)
-    trsm_mod._FORCE_LOOPS = True
-    assert np.allclose(looped, native, rtol=1e-10, atol=1e-12)
-    assert np.allclose(l @ native, b0, rtol=1e-9, atol=1e-9)
-
-    looped = trsm_upper_left(u, b0.copy(), block=block)
-    trsm_mod._FORCE_LOOPS = False
-    native = trsm_upper_left(u, b0.copy(), block=block)
-    trsm_mod._FORCE_LOOPS = True
-    assert np.allclose(looped, native, rtol=1e-10, atol=1e-12)
-    assert np.allclose(u @ native, b0, rtol=1e-9, atol=1e-9)
-
-    c0 = rng.standard_normal((width, n))
-    looped = trsm_lower_unit_right(l, c0.copy(), block=block)
-    trsm_mod._FORCE_LOOPS = False
-    native = trsm_lower_unit_right(l, c0.copy(), block=block)
-    trsm_mod._FORCE_LOOPS = True
-    assert np.allclose(looped, native, rtol=1e-10, atol=1e-12)
-    assert np.allclose(native @ l.T, c0, rtol=1e-9, atol=1e-9)

@@ -127,6 +127,9 @@ class TestRoundTrips:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown RunSpec keys"):
             RunSpec.from_dict({"kind": "native", "n": 100, "warp": 9})
+        # The retired arena switch is just another unknown key.
+        with pytest.raises(ValueError, match="buffer_pool"):
+            RunSpec.from_dict({"kind": "native", "n": 100, "buffer_pool": False})
 
     def test_from_dict_requires_kind_and_n(self):
         with pytest.raises(ValueError, match="kind"):

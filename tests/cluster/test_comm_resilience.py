@@ -138,7 +138,7 @@ class TestClose:
         world.close()  # already closed: no-op
 
     def test_close_drains_undelivered_pooled_parts(self):
-        world = World(2, buffer_pool=True)
+        world = World(2)
 
         def body(comm):
             if comm.rank == 0:

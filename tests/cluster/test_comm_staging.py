@@ -5,6 +5,7 @@ import numpy as np
 
 from repro.cluster.comm import World
 from repro.obs.metrics import MetricsRegistry
+from repro.resilience import RetryPolicy
 
 
 def _exchange(comm, chunk_bytes=256):
@@ -19,7 +20,7 @@ def _exchange(comm, chunk_bytes=256):
 
 class TestPooledStaging:
     def test_pooled_segments_counted_as_staged(self):
-        world = World(2, buffer_pool=True)
+        world = World(2)
         results = world.run(_exchange)
         np.testing.assert_array_equal(results[1]["a"], np.arange(512.0))
         stats = world.comms[0].stats
@@ -28,7 +29,8 @@ class TestPooledStaging:
         assert stats.staged_bytes + stats.copied_bytes == stats.bytes_sent
 
     def test_unpooled_segments_counted_as_copied(self):
-        world = World(2)
+        # Resilient mode stages segments as fresh copies, never pooled.
+        world = World(2, retry=RetryPolicy())
         results = world.run(_exchange)
         np.testing.assert_array_equal(results[1]["a"], np.arange(512.0))
         stats = world.comms[0].stats
@@ -36,7 +38,7 @@ class TestPooledStaging:
         assert stats.copied_bytes == stats.bytes_sent
 
     def test_segments_return_to_sender_arena(self):
-        world = World(2, buffer_pool=True)
+        world = World(2)
         world.run(_exchange)
         pool = world.comms[0].pool
         assert pool.checkouts > 0
@@ -50,7 +52,7 @@ class TestPooledStaging:
                 out = _exchange(comm)
             return out
 
-        world = World(2, buffer_pool=True)
+        world = World(2)
         results = world.run(body)
         np.testing.assert_array_equal(results[1]["a"], np.arange(512.0))
         pool = world.comms[0].pool
@@ -69,7 +71,7 @@ class TestPooledStaging:
             second = comm.recv(source=0)
             return first.copy(), second.copy()
 
-        world = World(2, buffer_pool=True)
+        world = World(2)
         first, second = world.run(body)[1]
         np.testing.assert_array_equal(first, np.full(512, 7.0))
         np.testing.assert_array_equal(second, np.zeros(512))
@@ -81,14 +83,14 @@ class TestPooledStaging:
                 return None
             return comm.recv(source=0)
 
-        world = World(2, buffer_pool=True)
+        world = World(2)
         world.run(body)
         stats = world.comms[0].stats
         assert stats.staged_bytes == 0
         assert stats.copied_bytes == stats.bytes_sent == 16 * 8
 
     def test_staging_split_published_to_metrics(self):
-        world = World(2, buffer_pool=True)
+        world = World(2)
         world.run(_exchange)
         reg = MetricsRegistry()
         world.comms[0].stats.publish(reg, prefix="comm.rank0")

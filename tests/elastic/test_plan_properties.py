@@ -8,7 +8,7 @@ reproduce every original rank's ``a_loc`` bitwise.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.grid import BlockCyclic, ProcessGrid
@@ -74,6 +74,9 @@ def _seed_cut(store, n, nb, grid, cursor, rng):
     seed=st.integers(0, 2**16),
 )
 @settings(max_examples=15, deadline=None)
+# The way back drops the cursor's owner column (rank 1 of 1x2): that
+# leaving rank must still hand the panel pivots to rank 0.
+@example(old=ProcessGrid(1, 1), new=ProcessGrid(1, 2), n=24, seed=0)
 def test_round_trip_relayout_is_bitwise_identity(old, new, n, seed):
     nb, cursor = 8, 1
     rng = np.random.default_rng(seed)

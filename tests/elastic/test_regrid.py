@@ -48,6 +48,17 @@ class TestRegridBitwise:
         assert r.regrid_moved_bytes > 0
         assert r.regrid_wall_s > 0.0
 
+    def test_lookahead_shrink_drops_the_panel_owner_column(self):
+        # At the cut (panel 3) on 1x2 the in-flight panel belongs to
+        # rank 1, which leaves the 1x1 world: its look-ahead pivots must
+        # reach the survivor through rank 0.
+        ref = DistributedHPL(**CFG, p=1, q=1, lookahead=True).run()
+        r = DistributedHPL(**CFG, p=1, q=2, lookahead=True,
+                           regrid=["panel=3:1x1"]).run()
+        _bitwise(r, ref)
+        assert (r.p, r.q) == (1, 1)
+        assert r.regrids == 1
+
     def test_regrid_with_process_executor(self):
         ref = DistributedHPL(**CFG, p=2, q=4, executor="process").run()
         r = DistributedHPL(**CFG, p=2, q=2, executor="process",

@@ -99,17 +99,17 @@ class TestCheckpointStore:
         assert snap["restored_bytes"] == n
         assert snap["checkpoint_time_s"] >= 0.0
 
-    def test_legacy_npz_blob_still_loads(self):
-        # Blobs written by the old np.savez container (no RCK1 magic)
-        # must keep loading through the fallback path.
+    def test_blob_without_magic_is_refused(self):
+        # An np.savez container (no RCK1 magic) is not a checkpoint.
         store = CheckpointStore()
         flat = pack_state(_sample_state(), layout=LayoutHeader(2, 2, 16, 96))
         buf = io.BytesIO()
         np.savez(buf, **flat)
         store._blobs[(0, 3)] = buf.getvalue()
-        out = store.load(0, 3, expect_layout=LayoutHeader(2, 2, 16, 96))
-        assert np.array_equal(out["tiles"], _sample_state()["tiles"])
-        assert store.layout(0, 3) == LayoutHeader(2, 2, 16, 96)
+        with pytest.raises(CheckpointLayoutError, match="not a checkpoint"):
+            store.load(0, 3, expect_layout=LayoutHeader(2, 2, 16, 96))
+        with pytest.raises(CheckpointLayoutError):
+            store.layout(0, 3)
 
     def test_non_contiguous_arrays_round_trip(self):
         store = CheckpointStore()

@@ -148,6 +148,23 @@ def test_reduction_efficiency_drop_is_a_regression(alloc_dirs):
     assert "pool_reduction_efficiency" in proc.stderr
 
 
+def test_removed_row_fails_closed_on_row_identity(tmp_path):
+    """Rows match by index: after a row is dropped, [0] names a
+    different row, so its figures must not be compared silently."""
+    base = tmp_path / "baseline"
+    cur = tmp_path / "current"
+    base.mkdir()
+    cur.mkdir()
+    alloc_row = {"bench": "lu.factor", "mode": "alloc",
+                 "alloc_temp_bytes": 160000}
+    (base / "alloc.json").write_text(json.dumps([alloc_row] + ALLOC_ROWS))
+    (cur / "alloc.json").write_text(json.dumps(ALLOC_ROWS))
+    proc = run_gate(base, cur)
+    assert proc.returncode == 1
+    assert "row identity" in proc.stderr
+    assert "'alloc' -> 'pooled'" in proc.stderr
+
+
 LATENCY_ROWS = [
     {"bench": "service", "mode": "serving",
      "submit_p99_latency_s": 0.004, "queue_wait_p50_s": 0.001,

@@ -126,6 +126,12 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_removed_buffer_pool_flag_is_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["native", "--n", "64", "--nb", "16", "--numeric",
+                  "--no-buffer-pool"])
+        assert exc.value.code == 2
+
 
 class TestCLIResilience:
     DIST = ["distributed", "--n", "48", "--nb", "8"]

@@ -36,6 +36,12 @@ the ordinary ``speedup`` rule) and redistribution times (keys naming
 regression; ``redistribution_efficiency`` is gated higher-is-better
 through the ordinary ``efficiency`` rule).
 
+Rows of a list-valued artifact are matched by index, so the gate also
+fails closed on row identity: when a baseline row and the current row
+at the same index disagree on a string-valued identity leaf (``bench``,
+``mode``), the figures would be compared across different rows, and
+that mismatch is itself reported as a REGRESSION.
+
 Standard library only, so CI can run it before (or without) installing
 the package.
 """
@@ -74,6 +80,9 @@ REGRID_KEY_PART = "regrid"
 
 #: ...unless it also matches one of these (reference data, not measurements).
 SKIP_KEY_PARTS = ("paper",)
+
+#: String leaves naming which row of a list-valued artifact a dict is.
+IDENTITY_KEYS = ("bench", "mode")
 
 
 def classify_key(key: str) -> str:
@@ -115,6 +124,33 @@ def iter_rate_leaves(node, path: str = "") -> Iterator[Tuple[str, float, str]]:
             yield from iter_rate_leaves(value, f"{path}[{i}]")
 
 
+def iter_rows(node, path: str = "") -> Iterator[Tuple[str, Dict[str, object]]]:
+    """Yield (row path, identity leaves) for every dict row of a list."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            sub = f"{path}.{key}" if path else str(key)
+            yield from iter_rows(node[key], sub)
+    elif isinstance(node, list):
+        for i, row in enumerate(node):
+            sub = f"{path}[{i}]"
+            if isinstance(row, dict):
+                yield sub, {k: row.get(k) for k in IDENTITY_KEYS}
+            yield from iter_rows(row, sub)
+
+
+def row_mismatches(base, cur) -> List[str]:
+    """Rows present in both sets whose string identity leaves differ."""
+    cur_rows = dict(iter_rows(cur))
+    out = []
+    for path, ids in iter_rows(base):
+        if path not in cur_rows:
+            continue
+        for key, value in ids.items():
+            if isinstance(value, str) and cur_rows[path][key] != value:
+                out.append(f"{path}.{key}: {value!r} -> {cur_rows[path][key]!r}")
+    return out
+
+
 def load_rates(path: pathlib.Path) -> Dict[str, Tuple[float, str]]:
     return {
         key: (value, sense)
@@ -148,6 +184,13 @@ def compare(
             continue
         base_rates = load_rates(base_path)
         cur_rates = load_rates(cur_path)
+        for line in row_mismatches(
+            json.loads(base_path.read_text()), json.loads(cur_path.read_text())
+        ):
+            regressions.append(
+                f"REGRESSION {name}: row identity changed, {line} "
+                "(figures would be compared across different rows)"
+            )
         if not base_rates:
             notes.append(f"note: {name}: no gated figures in baseline")
             continue
