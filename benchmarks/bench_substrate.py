@@ -1,18 +1,17 @@
-"""Functional-substrate ablation — tiles vs stripe vs parallel GEMM,
+"""Functional-substrate benchmark — serial vs parallel stripe GEMM,
 and the pack-once cache under blocked LU.
 
 The paper's native DGEMM wins by (a) packing each operand panel once
 per outer product and (b) fanning independent row-stripes across cores
-(Section III-A). The functional layer mirrors both: ``strategy="stripe"``
-batches all of a panel's tile kernels into one NumPy call per k-slice,
-a :class:`~repro.parallel.TileExecutor` spreads the stripe grid over a
+(Section III-A). The functional layer mirrors both: the stripe GEMM
+batches a stripe's tile kernels into one NumPy call per k-slice, a
+:class:`~repro.parallel.TileExecutor` spreads the stripe grid over a
 pool, and :class:`~repro.blas.workspace.PackCache` makes the blocked
 LU pack each L21/U panel exactly once per stage.
 
 Emits ``substrate.json`` with the measured rates plus the (exactly
 deterministic) cache hit/miss counts. Set ``BENCH_SMOKE=1`` for the
-reduced CI-smoke sizes; perf-ratio assertions only run at full size
-(wall-clock ratios at smoke sizes are noise-dominated).
+reduced CI-smoke sizes.
 """
 
 import os
@@ -51,20 +50,15 @@ def build_substrate():
     flops = 2.0 * N_GEMM**3
 
     modes = {}
-    c_tiles, t_tiles = _timed_gemm(a, b, k_block=K_BLOCK, strategy="tiles")
-    modes["tiles"] = t_tiles
-    c_stripe, t_stripe = _timed_gemm(a, b, k_block=K_BLOCK, strategy="stripe")
-    modes["stripe"] = t_stripe
+    c_stripe, modes["stripe"] = _timed_gemm(a, b, k_block=K_BLOCK)
     with TileExecutor(2) as ex:
-        c_par, t_par = _timed_gemm(
-            a, b, k_block=K_BLOCK, strategy="stripe", executor=ex
+        c_par, modes["parallel(2)"] = _timed_gemm(
+            a, b, k_block=K_BLOCK, executor=ex
         )
-    modes["parallel(2)"] = t_par
 
-    # All three partition the same tile grid: bitwise identical.
-    assert np.array_equal(c_tiles, c_stripe)
+    # Both partition the same stripe grid: bitwise identical.
     assert np.array_equal(c_stripe, c_par)
-    # The emulated-kernel path agrees with NumPy to rounding.
+    # The packed path agrees with NumPy to rounding.
     assert np.allclose(c_stripe, ref, rtol=1e-10, atol=1e-8)
 
     rows = [
@@ -95,7 +89,7 @@ def build_substrate():
 
     with TileExecutor(2) as ex:
         lu_par, ipiv_par = blocked_lu(
-            a_lu.copy(), nb=NB_LU, pack_cache=True, executor=ex, workers=ex
+            a_lu.copy(), nb=NB_LU, executor=ex, workers=ex
         )
     assert np.array_equal(lu_serial, lu_par)
     assert np.array_equal(ipiv_serial, ipiv_par)
@@ -113,11 +107,11 @@ def build_substrate():
     )
 
     t = Table(
-        "Functional substrate: GEMM strategy ablation"
+        "Functional substrate: serial vs parallel stripe GEMM"
         + (" (smoke sizes)" if SMOKE else ""),
         ["bench", "config", "time s", "GFLOPS"],
     )
-    for row in rows[:3]:
+    for row in rows[:2]:
         t.add(row["bench"], row["mode"], round(row["time_s"], 4), round(row["gflops"], 2))
     t.add(
         "lu pack cache",
@@ -125,14 +119,10 @@ def build_substrate():
         f"{cache.hits} hits",
         f"{cache.misses} misses",
     )
-    return t, rows, modes
+    return t, rows
 
 
 def test_substrate(benchmark, emit, emit_json):
-    table, rows, modes = once(benchmark, build_substrate)
+    table, rows = once(benchmark, build_substrate)
     emit("substrate", table.render())
     emit_json("substrate", rows)
-    if not SMOKE:
-        # The headline of the tentpole: one batched stripe GEMM per
-        # k-slice beats per-tile kernel dispatch.
-        assert modes["stripe"] < modes["tiles"], modes

@@ -46,7 +46,6 @@ def _run_native(s: RunSpec) -> RunResult:
         scheduler=s.scheduler,
         workers=s.workers,
         executor=s.executor,
-        pack_cache=s.pack_cache,
         alloc_profile=s.alloc_profile,
         **_precision_kwargs(s),
     ).run(numeric=s.numeric, seed=s.seed)
@@ -62,7 +61,6 @@ def _run_hybrid(s: RunSpec) -> RunResult:
             cards=s.cards,
             workers=s.workers,
             executor=s.executor,
-            pack_cache=s.pack_cache,
             alloc_profile=s.alloc_profile,
             seed=s.seed,
             **_precision_kwargs(s),
@@ -104,7 +102,6 @@ def _run_distributed(s: RunSpec) -> RunResult:
         chunk_kb=s.chunk_kb,
         workers=s.workers,
         executor=s.executor,
-        pack_cache=s.pack_cache,
         alloc_profile=s.alloc_profile,
         fault_plan=s.fault_plan,
         checkpoint_every=s.checkpoint_every,

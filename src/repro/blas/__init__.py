@@ -33,7 +33,6 @@ from repro.blas.kernels import (
     basic_kernel_2,
     basic_kernel_2_sp,
     core_multiply,
-    tile_multiply_fast,
 )
 from repro.blas.gemm import gemm, dgemm, sgemm
 from repro.blas.getrf import getf2, getrf
@@ -55,7 +54,6 @@ __all__ = [
     "basic_kernel_2",
     "basic_kernel_2_sp",
     "core_multiply",
-    "tile_multiply_fast",
     "gemm",
     "dgemm",
     "sgemm",

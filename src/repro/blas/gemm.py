@@ -6,22 +6,18 @@ This module implements exactly that decomposition:
 
 * the K dimension is chopped into ``k_block`` deep slices,
 * each slice's Ai / Bi is packed into the Knights Corner-friendly format
-  — directly, or through a :class:`~repro.blas.workspace.PackCache` so a
-  panel reused across many calls (the blocked LU's L21, the offload
-  engine's resident strips) is packed exactly once,
-* the packed tiles are multiplied by one of two strategies:
-
-  - ``"stripe"`` (default for the fast kernel): each 30-row a tile is
-    multiplied against the whole packed-B panel in a single BLAS call
-    into a preallocated per-thread accumulator — the functional-layer
-    analogue of handing one a tile to one core (Figure 2a). Stripes
-    write disjoint row bands of C, so a
-    :class:`~repro.parallel.TileExecutor` fans them across cores with
-    bitwise-identical results at any worker count;
-  - ``"tiles"``: the original tile-by-tile loop over the full
-    (a tile, b tile) grid — required by the instruction-level emulated
-    kernels, and kept as the serial reference the benchmark regression
-    gate compares against.
+  through a :class:`~repro.blas.workspace.PackCache`, so a panel reused
+  across many calls (the blocked LU's L21, the offload engine's
+  resident strips) is packed exactly once,
+* the fast kernel multiplies the packed tiles stripe by stripe: each
+  group of 30-row a tiles is multiplied against the whole packed-B
+  panel in a single BLAS call into a preallocated per-thread
+  accumulator — the functional-layer analogue of handing one a tile to
+  one core (Figure 2a). Stripes write disjoint row bands of C, so a
+  :class:`~repro.parallel.TileExecutor` fans them across cores with
+  bitwise-identical results at any worker count. The instruction-level
+  emulated kernels run the tile-by-tile loop over the full
+  (a tile, b tile) grid instead.
 
 All matrices are row-major, matching the paper's convention (footnote 3
 notes the column-major case reduces to this one by transposition).
@@ -39,15 +35,13 @@ from repro.blas.kernels import (
     KERNEL2_ROWS,
     basic_kernel_1,
     basic_kernel_2,
-    tile_multiply_fast,
 )
 from repro.machine.vector_batch import schedule_for
-from repro.blas.packing import TILE_B_COLS, pack_a, pack_b
+from repro.blas.packing import TILE_B_COLS
+from repro.blas.workspace import PackCache
 from repro.parallel import as_executor, is_process_executor, scratch_buffer, shm_task
 
 _EMULATED_KERNELS = {KERNEL1_ROWS: basic_kernel_1, KERNEL2_ROWS: basic_kernel_2}
-
-_STRATEGIES = ("stripe", "tiles")
 
 #: a tiles fused into one stripe task. Eight 30-row tiles give the BLAS
 #: call a 240-row operand (good kernel shape) while leaving enough
@@ -66,7 +60,6 @@ def gemm(
     k_block: int = 300,
     tile_rows: int = KERNEL2_ROWS,
     kernel: str = "fast",
-    strategy: str = "stripe",
     executor=None,
     pack_cache=None,
     a_key=None,
@@ -88,17 +81,13 @@ def gemm(
     tile_rows:
         30 selects Basic Kernel 2 tiling (default), 31 Basic Kernel 1.
     kernel:
-        "fast" (NumPy tile multiply), "emulated" (vector-ISA semantics
-        via the batched instruction schedule — one NumPy sweep per k
-        iteration), or "emulated-step" (the per-instruction
+        "fast" (one BLAS call per row stripe), "emulated" (vector-ISA
+        semantics via the batched instruction schedule — one NumPy sweep
+        per k iteration), or "emulated-step" (the per-instruction
         :class:`~repro.machine.vector.VectorMachine` reference; only
         sensible for small matrices). The two emulated modes are
         bitwise identical; "emulated" is merely orders of magnitude
         less Python dispatch.
-    strategy:
-        "stripe" (vectorized row-stripe path, default) or "tiles" (the
-        per-tile reference loop). ``kernel="emulated"`` always runs
-        tile-by-tile.
     executor:
         ``None`` (serial), a worker count, or a
         :class:`~repro.parallel.TileExecutor` to fan the stripe grid
@@ -106,11 +95,12 @@ def gemm(
     pack_cache / a_key / b_key:
         With a :class:`~repro.blas.workspace.PackCache` and keys, the
         packed k-slices of A/B are cached under ``(key, k0)`` and reused
-        by later calls on the same operand slice.
+        by later calls on the same operand slice. Without a cache a
+        call-local one packs every slice once, uncached.
     pool:
         The :class:`~repro.blas.buffers.BufferPool` the stripe path
-        rents its fused-stripe operand and accumulator from (a
-        call-local one when omitted).
+        rents its fused-stripe operand, accumulator and row-band copy
+        from (a call-local one when omitted).
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -124,8 +114,6 @@ def gemm(
         raise ValueError("k_block must be positive")
     if kernel not in ("fast", "emulated", "emulated-step"):
         raise ValueError(f"unknown kernel {kernel!r}")
-    if strategy not in _STRATEGIES:
-        raise ValueError(f"strategy must be one of {_STRATEGIES}, got {strategy!r}")
     if kernel != "fast" and tile_rows not in _EMULATED_KERNELS:
         raise ValueError(
             f"emulated kernels exist for tile_rows in "
@@ -147,28 +135,26 @@ def gemm(
 
     if pool is None:
         pool = BufferPool()
+    if pack_cache is None:
+        pack_cache = PackCache()
     executor = as_executor(executor)
     alpha = a.dtype.type(alpha)
     for k0 in range(0, k_total, k_block):
         k1 = min(k0 + k_block, k_total)
-        if pack_cache is not None:
-            pa = pack_cache.pack_a(
-                a[:, k0:k1],
-                key=None if a_key is None else (a_key, k0),
-                tile_rows=tile_rows,
-            )
-            pb = pack_cache.pack_b(
-                b[k0:k1, :],
-                key=None if b_key is None else (b_key, k0),
-                tile_cols=TILE_B_COLS,
-            )
-        else:
-            pa = pack_a(a[:, k0:k1], tile_rows=tile_rows)
-            pb = pack_b(b[k0:k1, :], tile_cols=TILE_B_COLS)
-        if kernel != "fast" or strategy == "tiles":
-            _outer_product_tiles(c, pa, pb, alpha, kernel)
-        else:
+        pa = pack_cache.pack_a(
+            a[:, k0:k1],
+            key=None if a_key is None else (a_key, k0),
+            tile_rows=tile_rows,
+        )
+        pb = pack_cache.pack_b(
+            b[k0:k1, :],
+            key=None if b_key is None else (b_key, k0),
+            tile_cols=TILE_B_COLS,
+        )
+        if kernel == "fast":
             _outer_product_stripes(c, pa, pb, alpha, executor, pool)
+        else:
+            _outer_product_tiles(c, pa, pb, alpha, kernel)
     return c
 
 
@@ -301,6 +287,7 @@ def _outer_product_stripes(c, pa, pb, alpha, executor, pool) -> None:
         # rented buffer via the strided assignment.
         stripe = pool.checkout((nrows, k), dtype, key="gemm.stripe")
         out = pool.checkout((nrows, b_panel.shape[1]), dtype, key="gemm.out")
+        band = pool.checkout((rhi - rlo, b_panel.shape[1]), dtype, key="gemm.band")
         try:
             stripe.reshape(t1 - t0, pa.tile_rows, k)[...] = pa.data[
                 t0:t1
@@ -308,10 +295,17 @@ def _outer_product_stripes(c, pa, pb, alpha, executor, pool) -> None:
             np.matmul(stripe, b_panel, out=out)
             if alpha != 1.0:
                 np.multiply(out, alpha, out=out)
-            c[rlo:rhi, :ncols] += out[: rhi - rlo, :ncols]
+            # Fold through a contiguous copy of c's row band: adding into
+            # the strided band allocates ~128 KiB of NumPy iterator
+            # buffers per call. Same one addition per element.
+            band[:, ncols:] = 0
+            np.copyto(band[:, :ncols], c[rlo:rhi, :ncols])
+            np.add(band, out[: rhi - rlo], out=band)
+            np.copyto(c[rlo:rhi, :ncols], band[:, :ncols])
         finally:
             pool.release(stripe)
             pool.release(out)
+            pool.release(band)
 
     starts = range(0, pa.n_tiles, STRIPE_TILES)
     if executor is None:
@@ -322,8 +316,9 @@ def _outer_product_stripes(c, pa, pb, alpha, executor, pool) -> None:
 
 
 def _outer_product_tiles(c, pa, pb, alpha, kernel) -> None:
-    """Accumulate alpha * unpack(pa) @ unpack(pb) into c, tile by tile —
-    the reference loop over the full (a tile, b tile) grid."""
+    """Accumulate alpha * unpack(pa) @ unpack(pb) into c, tile by tile
+    through an emulated kernel — the loop over the full
+    (a tile, b tile) grid."""
     # PackedB tiles are strided views of the row-major panel; the
     # tile-by-tile loop touches each one many times, so take one
     # contiguous copy of the grid up front (the legacy layout).
@@ -331,18 +326,13 @@ def _outer_product_tiles(c, pa, pb, alpha, kernel) -> None:
     if kernel == "emulated":
         _emulated_batched_tiles(c, pa, pb, b_tiles, alpha)
         return
-    emulated = (
-        _EMULATED_KERNELS.get(pa.tile_rows) if kernel == "emulated-step" else None
-    )
+    emulated = _EMULATED_KERNELS[pa.tile_rows]
     for ta in range(pa.n_tiles):
         rlo, rhi = pa.tile_row_range(ta)
         a_tile = pa.tile(ta)
         for tb in range(pb.n_tiles):
             clo, chi = pb.tile_col_range(tb)
-            if emulated is not None:
-                block = emulated(a_tile, b_tiles[tb])
-            else:
-                block = tile_multiply_fast(a_tile, b_tiles[tb])
+            block = emulated(a_tile, b_tiles[tb])
             c[rlo:rhi, clo:chi] += alpha * block[: rhi - rlo, : chi - clo]
 
 

@@ -2,17 +2,14 @@
 
 Both kernels multiply a packed a tile (rows x k, column-major) by a
 packed b tile (k x 8, row-major) into a (rows x 8) c block held entirely
-in vector registers. They are implemented twice:
-
-* **emulated** — instruction by instruction on the
-  :class:`~repro.machine.vector.VectorMachine`, following Figure 2b/2c
-  exactly (register allocation, broadcast flavours, swizzles). This path
-  exists to *verify the kernel algorithm*: the tests check both that the
-  numbers match NumPy and that the instruction census matches the
-  paper's efficiency arithmetic (31 or 30 vmadds out of 32 vector
-  instructions per iteration).
-* **fast** — a NumPy matmul over the same packed tiles, used by the GEMM
-  driver for anything larger than toy sizes.
+in vector registers. They are emulated instruction by instruction on
+the :class:`~repro.machine.vector.VectorMachine`, following Figure 2b/2c
+exactly (register allocation, broadcast flavours, swizzles). This path
+exists to *verify the kernel algorithm*: the tests check both that the
+numbers match NumPy and that the instruction census matches the paper's
+efficiency arithmetic (31 or 30 vmadds out of 32 vector instructions per
+iteration). The GEMM driver's fast kernel multiplies the same packed
+tiles as whole row stripes through BLAS (:mod:`repro.blas.gemm`).
 
 Kernel 1 keeps 31 c rows in v0..v30 and loads the b row into v31; every
 iteration's 31 vmadds take their a element as a 1to8 memory broadcast.
@@ -201,15 +198,6 @@ def batched_kernel_2_sp(
     """The SGEMM flavour of the batched Kernel 2: (T, k, 30) x
     (T, k, 16) float32 -> (T, 30, 16)."""
     return _batched(KERNEL2_ROWS, SP_LANES, a_tiles, b_tiles, vm)
-
-
-def tile_multiply_fast(a_tile: np.ndarray, b_tile: np.ndarray) -> np.ndarray:
-    """NumPy path over the same packed tiles: (k, R).T @ (k, 8)."""
-    a_tile = np.asarray(a_tile)
-    b_tile = np.asarray(b_tile)
-    if a_tile.shape[0] != b_tile.shape[0]:
-        raise ValueError("k mismatch between tiles")
-    return a_tile.T @ b_tile
 
 
 #: Hardware threads cooperating on one core's a tile (Figure 2a).

@@ -17,10 +17,8 @@ Staleness is handled two ways:
   key's entries (or everything); the LU workspace calls it when a
   stage's panel is dead;
 * **validation on hit** — entries remember a deterministic sample of
-  the source values (``validate="sample"``, the default: corners plus a
-  strided interior sample) or are checked in full against the source
-  (``validate="full"``); a mismatch is counted as a stale eviction and
-  the slice is re-packed. ``validate="none"`` trusts keys entirely.
+  the source values (corners plus a strided interior sample); a
+  mismatch is counted as a stale eviction and the slice is re-packed.
 
 The cache is thread-safe: the LU tile executor may ask for the same
 panel from several workers at once, and exactly one of them packs
@@ -40,10 +38,8 @@ import numpy as np
 
 from repro.blas.packing import TILE_A_ROWS, TILE_B_COLS, PackedA, PackedB, pack_a, pack_b
 
-#: Interior sample points (per axis) used by ``validate="sample"``.
+#: Sample points per axis probed on every cache hit.
 _SAMPLE_PER_AXIS = 4
-
-_VALIDATE_MODES = ("none", "sample", "full")
 
 
 def _sample_indices(shape: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
@@ -68,11 +64,7 @@ class _Entry:
         self.sample_rows, self.sample_cols = _sample_indices(src.shape)
         self.sample_vals = src[self.sample_rows, self.sample_cols].copy()
 
-    def is_fresh(self, src: np.ndarray, mode: str) -> bool:
-        if mode == "none":
-            return True
-        if mode == "full":
-            return bool(np.array_equal(self.packed.unpack(), src))
+    def is_fresh(self, src: np.ndarray) -> bool:
         return bool(
             np.array_equal(src[self.sample_rows, self.sample_cols], self.sample_vals)
         )
@@ -90,10 +82,7 @@ class PackCache:
     nothing would ever free them).
     """
 
-    def __init__(self, validate: str = "sample", alloc=None, free=None):
-        if validate not in _VALIDATE_MODES:
-            raise ValueError(f"validate must be one of {_VALIDATE_MODES}")
-        self.validate = validate
+    def __init__(self, alloc=None, free=None):
         self._alloc_fn = alloc
         self._free_fn = free
         self._entries: Dict[tuple, _Entry] = {}
@@ -136,7 +125,7 @@ class PackCache:
         with self._lock:
             entry = self._entries.get(full_key)
             if entry is not None:
-                if entry.is_fresh(src, self.validate):
+                if entry.is_fresh(src):
                     self.hits += 1
                     return entry.packed
                 self.stale_evictions += 1
@@ -191,15 +180,23 @@ class PackCache:
             return len(doomed)
 
     # -- observability ---------------------------------------------------------
+    def counters(self) -> Dict[str, int]:
+        """The cache counters, keyed by their metric names."""
+        with self._lock:
+            return {
+                "blas.pack_cache.hits": self.hits,
+                "blas.pack_cache.misses": self.misses,
+                "blas.pack_cache.stale_evictions": self.stale_evictions,
+                "blas.pack_cache.bytes_packed": self.bytes_packed,
+                "blas.pack_cache.uncached_packs": self.uncached_packs,
+            }
+
     def publish(self, metrics) -> None:
         """Copy the cache counters into a MetricsRegistry."""
         if metrics is None:
             return
-        metrics.counter("blas.pack_cache.hits").inc(self.hits)
-        metrics.counter("blas.pack_cache.misses").inc(self.misses)
-        metrics.counter("blas.pack_cache.stale_evictions").inc(self.stale_evictions)
-        metrics.counter("blas.pack_cache.bytes_packed").inc(self.bytes_packed)
-        metrics.counter("blas.pack_cache.uncached_packs").inc(self.uncached_packs)
+        for name, value in self.counters().items():
+            metrics.counter(name).inc(value)
         metrics.gauge("blas.pack_cache.entries").set(len(self))
 
     def __repr__(self) -> str:

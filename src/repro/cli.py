@@ -58,8 +58,6 @@ The numeric paths (``native --numeric``, ``hybrid --numeric``,
 
 ``--workers N``
     tile-executor pool width (default: all cores; ``1`` = inline);
-``--no-pack-cache``
-    disable the pack-once tile cache and re-pack every GEMM panel;
 ``--alloc-profile``
     wrap the factor/solve phases in tracemalloc spans and record the
     steady-state temporary bytes in the result's ``alloc`` field.

@@ -45,7 +45,8 @@ from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
-from repro.blas.buffers import BufferPool, matmul_into
+# matmul_into stays bound here for benchmarks/e2e/spans.py, which wraps it.
+from repro.blas.buffers import BufferPool, matmul_into  # noqa: F401
 from repro.blas.gemm import gemm
 from repro.blas.getrf import getrf
 from repro.blas.trsm import trsm_lower_unit_left
@@ -181,7 +182,6 @@ class DistributedHPL:
         swap_algo: str = "pairwise",
         workers: Optional[int] = None,
         executor: str = "thread",
-        pack_cache: bool = False,
         lookahead: bool = False,
         chunk_kb: Optional[float] = None,
         alloc_profile: bool = False,
@@ -233,10 +233,9 @@ class DistributedHPL:
         # Pack-once + tile-executor substrate for every rank's local
         # trailing update. The executor is shared by all rank threads
         # (its map degrades to inline inside worker threads); each rank
-        # keeps its own PackCache, and rank 0's counters are published.
+        # keeps its own PackCache, and their counters are published summed.
         self.workers = workers
         self.executor = executor
-        self.pack_cache = pack_cache
         # Every rank rents its kernel scratch and comm staging from its
         # own pools; alloc_profile wraps the run in a tracemalloc span.
         self.alloc_profile = bool(alloc_profile)
@@ -358,15 +357,15 @@ class DistributedHPL:
         sub_cols: np.ndarray,
         l21: np.ndarray,
         u_block: np.ndarray,
-        cache: Optional[PackCache],
+        cache: PackCache,
         k: int,
         u_key: tuple,
         pool: BufferPool,
     ) -> None:
         """GEMM-update ``a_loc[sub_rows, sub_cols] -= l21 @ u_block``
-        through the configured substrate (offload engine, pack-once +
-        tile executor, or plain BLAS). ``pool`` rents the staging and
-        product workspaces from the rank's arena."""
+        through the configured substrate (offload engine, or pack-once +
+        tile executor). ``pool`` rents the staging workspaces from the
+        rank's arena."""
         sub = np.ix_(sub_rows, sub_cols)
         if self.use_offload:
             from repro.hybrid.offload import OffloadDGEMM
@@ -387,7 +386,7 @@ class DistributedHPL:
             finally:
                 pool.release(neg_l21)
             a_loc[sub] = c
-        elif cache is not None or self._executor is not None:
+        else:
             # Pack-once + stripe substrate: the fancy-indexed region is
             # gathered, updated in place, scattered back.
             c = a_loc[sub]
@@ -403,14 +402,6 @@ class DistributedHPL:
                 executor=self._executor,
                 pool=pool,
             )
-            a_loc[sub] = c
-        else:
-            # Same gather / update-in-place / scatter the fancy-indexed
-            # in-place subtraction performs, with the product rented.
-            c = a_loc[sub]
-            with pool.rent(c.shape, c.dtype, key="dist.trailing") as w:
-                matmul_into(pool, l21, u_block, w, key="dist.trailing")
-                np.subtract(c, w, out=c)
             a_loc[sub] = c
 
     def _split_trailing_cols(
@@ -525,7 +516,7 @@ class DistributedHPL:
         # the working precision — each rank rounds the same DP stream).
         a_loc = hpl_submatrix(self.n, rows, cols, seed=self.seed,
                               dtype=self.np_dtype)
-        cache = PackCache() if self.pack_cache else None
+        cache = PackCache()
         pool = BufferPool()  # per-rank arena
         k_start, stage_pivots, _saved_panel = self._restore(comm, a_loc)
         bcast_wall_s, bcast_calls = 0.0, 0  # per-algorithm broadcast time
@@ -619,10 +610,9 @@ class DistributedHPL:
                     u_block[:, rest_sel], cache, k, ("dist.u", k, "rest"),
                     pool=pool,
                 )
-            if cache is not None:
-                cache.invalidate(("dist.l21", k))
-                cache.invalidate(("dist.u", k, "early"))
-                cache.invalidate(("dist.u", k, "rest"))
+            cache.invalidate(("dist.l21", k))
+            cache.invalidate(("dist.u", k, "early"))
+            cache.invalidate(("dist.u", k, "rest"))
 
         if self._k_stop < bc.n_blocks:
             # Segment boundary: force a consistent cut at the regrid
@@ -644,7 +634,7 @@ class DistributedHPL:
         cols = bc.local_cols(my_col)
         a_loc = hpl_submatrix(self.n, rows, cols, seed=self.seed,
                               dtype=self.np_dtype)
-        cache = PackCache() if self.pack_cache else None
+        cache = PackCache()
         pool = BufferPool()  # per-rank arena
         k_start, stage_pivots, saved_panel = self._restore(comm, a_loc)
         nstages = bc.n_blocks
@@ -781,10 +771,9 @@ class DistributedHPL:
                     ("dist.u", k, "rest"),
                     pool=pool,
                 )
-            if cache is not None:
-                cache.invalidate(("dist.l21", k))
-                cache.invalidate(("dist.u", k, "early"))
-                cache.invalidate(("dist.u", k, "rest"))
+            cache.invalidate(("dist.l21", k))
+            cache.invalidate(("dist.u", k, "early"))
+            cache.invalidate(("dist.u", k, "rest"))
 
             # Settle completed sends so hidden time accrues per stage.
             send_reqs = [r for r in send_reqs if not r.test()]
@@ -827,7 +816,7 @@ class DistributedHPL:
         rows: np.ndarray,
         cols: np.ndarray,
         stage_pivots: List[np.ndarray],
-        cache: Optional[PackCache],
+        cache: PackCache,
         bcast_wall_s: float,
         bcast_calls: int,
         stage_overlap: List[Tuple[float, float]],
@@ -837,11 +826,11 @@ class DistributedHPL:
         # Snapshot traffic before the result gather adds its own bytes.
         snapshot = comm.stats.bytes_sent
         overlap = comm.stats.overlap_snapshot()
-        per_rank = comm.gather((snapshot, overlap), root=0)
+        per_rank = comm.gather((snapshot, overlap, cache.counters()), root=0)
         pieces = comm.gather((rows, cols, a_loc), root=0)
         if comm.rank != 0:
             return None
-        bytes_by_rank = [b for b, _o in per_rank]
+        bytes_by_rank = [b for b, _o, _c in per_rank]
         total = sum(bytes_by_rank)
         lu = np.empty((self.n, self.n), dtype=self.np_dtype)
         for g_rows, g_cols, piece in pieces:
@@ -887,9 +876,9 @@ class DistributedHPL:
         # Overlap accounting, summed across ranks: exposed wait is the
         # communication on rank critical paths; hidden is drain time the
         # background senders absorbed while compute proceeded.
-        wait_total = sum(o["wait_s"] for _b, o in per_rank)
-        drain_total = sum(o["drain_s"] for _b, o in per_rank)
-        hidden_total = sum(o["hidden_s"] for _b, o in per_rank)
+        wait_total = sum(o["wait_s"] for _b, o, _c in per_rank)
+        drain_total = sum(o["drain_s"] for _b, o, _c in per_rank)
+        hidden_total = sum(o["hidden_s"] for _b, o, _c in per_rank)
         metrics.gauge("comm.overlap.wait_s").set(wait_total)
         metrics.gauge("comm.overlap.drain_s").set(drain_total)
         metrics.gauge("comm.overlap.hidden_s").set(hidden_total)
@@ -897,8 +886,10 @@ class DistributedHPL:
             metrics.timer("comm.overlap.stage_hidden_s").add(max(0.0, hidden_d))
             metrics.timer("comm.overlap.stage_wait_s").add(max(0.0, wait_d))
         metrics.counter("hpl.stages").inc(self.bc.n_blocks)
-        if cache is not None:
-            cache.publish(metrics)
+        # Each rank packs its own trailing updates: sum every cache.
+        for _b, _o, counts in per_rank:
+            for name, value in counts.items():
+                metrics.counter(name).inc(value)
         if refine_report is not None:
             metrics.gauge("hpl.refine_time_s").set(refine_report.refine_wall_s)
             metrics.gauge("hpl.refine_iterations").set(refine_report.iterations)

@@ -100,7 +100,6 @@ class NativeHPL:
         timing: Optional[LUTiming] = None,
         workers: Optional[int] = None,
         executor: str = "thread",
-        pack_cache: bool = True,
         alloc_profile: bool = False,
         dtype: str = "float64",
         mxp: bool = False,
@@ -124,7 +123,6 @@ class NativeHPL:
         self.scheduler_name = scheduler
         self.workers = workers
         self.executor = executor
-        self.pack_cache = pack_cache
         self.alloc_profile = alloc_profile
         self.dtype = dtype
         self.mxp = mxp
@@ -162,9 +160,9 @@ class NativeHPL:
         (keep N modest — the matrix is materialised).
 
         Numeric runs execute every trailing update on the pack-once +
-        tile-executor substrate (``workers`` wide, all cores by default;
-        ``pack_cache=False`` reverts to plain NumPy updates); the cache
-        and pool counters land in the result's metrics registry. The
+        tile-executor substrate (``workers`` wide, all cores by
+        default); the cache and pool counters land in the result's
+        metrics registry. The
         kernels rent their scratch from the workspace's
         :class:`~repro.blas.buffers.BufferPool`, and ``alloc_profile``
         wraps the factor/solve phases in tracemalloc
@@ -186,12 +184,7 @@ class NativeHPL:
                 a0, b = hpl_system(self.n, seed, dtype=np_dtype)
                 a_work = a0.copy()
             executor = make_executor(self.executor, self.workers)
-            workspace = LUWorkspace(
-                a_work,
-                self.nb,
-                pack_cache=self.pack_cache,
-                executor=executor,
-            )
+            workspace = LUWorkspace(a_work, self.nb, executor=executor)
             pool = workspace.pool
         sched = self._make_scheduler()
         with profiler.span("hpl.factor"):
@@ -257,8 +250,7 @@ class NativeHPL:
         if numeric:
             out.residual = residual
             out.passed = passed
-            if workspace.pack_cache is not None:
-                workspace.pack_cache.publish(metrics)
+            workspace.pack_cache.publish(metrics)
             pool.publish(metrics)
             profiler.publish(metrics)
             out.alloc = profiler.to_dict()

@@ -10,12 +10,12 @@ the host's spare capacity work-stealing from the opposite corner. The
 result is verified against SciPy and the HPL residual test, which pins
 down that the hybrid orchestration moves exactly the right blocks.
 
-With ``pack_cache`` / ``workers`` the offloaded updates run on the
-pack-once + tile-executor substrate: each stage's resident strips are
-packed once and shared across tiles, and the stripe GEMMs fan across
-the pool. :func:`run_hybrid_numeric` wraps the whole factorization +
-solve + residual check into a :class:`~repro.obs.result.RunResult` for
-the CLI's ``hybrid --numeric`` path.
+The offloaded updates run on the pack-once + tile-executor substrate:
+each stage's resident strips are packed once and shared across tiles,
+and with ``workers`` the stripe GEMMs fan across the pool.
+:func:`run_hybrid_numeric` wraps the whole factorization + solve +
+residual check into a :class:`~repro.obs.result.RunResult` for the
+CLI's ``hybrid --numeric`` path.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def hybrid_blocked_lu(
     tile: Optional[tuple] = None,
     host_assist: bool = True,
     workers=None,
-    pack_cache=None,
+    pack_cache: Optional[PackCache] = None,
     pool: Optional[BufferPool] = None,
 ) -> tuple:
     """Factor ``a`` in place with offloaded trailing updates.
@@ -60,18 +60,17 @@ def hybrid_blocked_lu(
     results with it, because the offload tiles partition the exact same
     GEMM.
 
-    ``pack_cache`` (True or a :class:`~repro.blas.workspace.PackCache`)
-    lets each stage's offload engine pack its resident A/B strips once
-    and reuse them across tiles; ``workers`` fans the card-side stripe
-    GEMMs over a :class:`~repro.parallel.TileExecutor`; ``pool`` (a
+    ``pack_cache`` (a :class:`~repro.blas.workspace.PackCache`,
+    call-local when omitted) lets each stage's offload engine pack its
+    resident A/B strips once and reuse them across tiles; ``workers``
+    fans the card-side stripe GEMMs over a
+    :class:`~repro.parallel.TileExecutor`; ``pool`` (a
     :class:`~repro.blas.buffers.BufferPool`, call-local when omitted)
     rents the host kernels' scratch and the offload staging buffers (the
     ``-L21`` / U / C contiguous copies) instead of allocating per stage.
     """
-    if pack_cache is True:
+    if pack_cache is None:
         pack_cache = PackCache()
-    elif pack_cache is False:
-        pack_cache = None
     if pool is None:
         pool = BufferPool()
     own_executor = (
@@ -128,9 +127,8 @@ def hybrid_blocked_lu(
                     pool.release(neg_l21)
                     pool.release(u)
                     pool.release(c)
-                if pack_cache is not None:
-                    # This stage's strips are dead; only counters persist.
-                    pack_cache.invalidate()
+                # This stage's strips are dead; only counters persist.
+                pack_cache.invalidate()
     finally:
         if own_executor and executor is not None:
             executor.close()
@@ -168,7 +166,6 @@ def run_hybrid_numeric(
     cards: int = 1,
     workers: Optional[int] = None,
     executor: str = "thread",
-    pack_cache: bool = True,
     host_assist: bool = True,
     seed: int = 42,
     alloc_profile: bool = False,
@@ -213,7 +210,7 @@ def run_hybrid_numeric(
     else:
         a0, b = hpl_system(n, seed, dtype=np_dtype)
         a_work = a0.copy()
-    cache = PackCache() if pack_cache else None
+    cache = PackCache()
     pool = BufferPool()
     profiler = AllocProfiler(enabled=alloc_profile)
     executor = make_executor(executor, workers)
@@ -248,8 +245,7 @@ def run_hybrid_numeric(
         profiler.close()
     wall_s = time.perf_counter() - t0
     metrics = MetricsRegistry()
-    if cache is not None:
-        cache.publish(metrics)
+    cache.publish(metrics)
     pool.publish(metrics)
     profiler.publish(metrics)
     executor.publish(metrics)

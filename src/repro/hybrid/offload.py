@@ -82,7 +82,7 @@ class OffloadDGEMM:
         socket_interleave: bool = True,
         cal: Optional[Calibration] = None,
         link: Optional[PCIeLink] = None,
-        pack_cache=None,
+        pack_cache: Optional[PackCache] = None,
         executor=None,
         pool: Optional[BufferPool] = None,
     ):
@@ -95,11 +95,7 @@ class OffloadDGEMM:
         # strip / B column strip is packed on first touch and reused by
         # every tile that shares it (the functional analogue of the
         # strips staying resident in the card's GDDR).
-        if pack_cache is True:
-            pack_cache = PackCache()
-        elif pack_cache is False:
-            pack_cache = None
-        self.pack_cache = pack_cache
+        self.pack_cache = PackCache() if pack_cache is None else pack_cache
         # Scratch arena threaded into the card-side GEMMs and the host
         # path's product, so steady-state tiles allocate nothing.
         self.pool = BufferPool() if pool is None else pool
@@ -212,8 +208,8 @@ class OffloadDGEMM:
             rows = slice(tile.r0, tile.r1)
             cols = slice(col_lo + tile.c0, col_lo + tile.c1)
             if on_card:
-                # The card path goes through the packed-format BLAS; with
-                # a PackCache the strips shared between tiles pack once.
+                # The card path goes through the packed-format BLAS; the
+                # strips shared between tiles pack once.
                 blas_gemm(
                     a[rows, :],
                     b[:, cols],
@@ -358,9 +354,8 @@ class OffloadDGEMM:
             ready_queues[card].publish_metrics(metrics, f"offload.queue.card{card}")
             links[card].publish_metrics(metrics, f"offload.link.card{card}")
         sim.publish_metrics(metrics)
-        if self.pack_cache is not None:
-            self.pack_cache.publish(metrics)
         if numeric:
+            self.pack_cache.publish(metrics)
             self.pool.publish(metrics)
         if self.executor is not None:
             self.executor.publish(metrics)

@@ -31,15 +31,6 @@ def _claim_executor(workers) -> tuple:
     return as_executor(workers), owned
 
 
-def _process_kwargs(ws_kwargs: dict) -> dict:
-    """Map LUWorkspace kwargs onto the process-LU driver's signature
-    (the workspace's stripe ``executor`` becomes ``inner_executor``)."""
-    kwargs = dict(ws_kwargs)
-    if "executor" in kwargs:
-        kwargs["inner_executor"] = kwargs.pop("executor")
-    return kwargs
-
-
 def blocked_lu(
     a: np.ndarray, nb: int = 64, workers=None, **ws_kwargs
 ) -> tuple:
@@ -57,7 +48,7 @@ def blocked_lu(
         from repro.lu.proc import process_blocked_lu
 
         try:
-            return process_blocked_lu(a, nb, ex, **_process_kwargs(ws_kwargs))
+            return process_blocked_lu(a, nb, ex, **ws_kwargs)
         finally:
             if owned:
                 ex.close()
@@ -106,7 +97,7 @@ def lu_via_dag(
         from repro.lu.proc import process_lu_dag
 
         try:
-            return process_lu_dag(a, nb, ex, **_process_kwargs(ws_kwargs))
+            return process_lu_dag(a, nb, ex, **ws_kwargs)
         finally:
             if owned:
                 ex.close()

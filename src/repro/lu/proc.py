@@ -39,16 +39,11 @@ from repro.parallel import shm_task
 # ---------------------------------------------------------------------------
 
 @shm_task("lu.attach")
-def _task_attach(ctx, *, a_ref, ipiv_ref, nb, use_packed_gemm, pack_cache):
+def _task_attach(ctx, *, a_ref, ipiv_ref, nb):
     """Build this worker's LUWorkspace over the shared matrix."""
     a = ctx.resolve(a_ref)
-    ws = LUWorkspace(
-        a,
-        nb,
-        use_packed_gemm=bool(use_packed_gemm),
-        pack_cache=bool(pack_cache),
-        executor=None,  # stripes stay serial inside a worker
-    )
+    # Stripes stay serial inside a worker (no executor).
+    ws = LUWorkspace(a, nb)
     ctx.state["lu"] = {"ws": ws, "ipiv": ctx.resolve(ipiv_ref), "nb": int(nb)}
     return None
 
@@ -71,8 +66,7 @@ def _task_update(ctx, *, stage, panel):
 def _task_stage_done(ctx, *, stage):
     """Drop this worker's packed L21 panel for a retired stage."""
     ws: LUWorkspace = ctx.state["lu"]["ws"]
-    if ws.pack_cache is not None:
-        ws.pack_cache.invalidate(("lu.l21", stage))
+    ws.pack_cache.invalidate(("lu.l21", stage))
     return None
 
 
@@ -80,7 +74,7 @@ def _task_stage_done(ctx, *, stage):
 # Parent-side drivers
 # ---------------------------------------------------------------------------
 
-def _setup(executor, a: np.ndarray, nb: int, use_packed_gemm, pack_cache, pool):
+def _setup(executor, a: np.ndarray, nb: int, pool):
     """Adopt the matrix + pivot vector into the arena and build the
     worker-side workspaces. Returns (parent ws, shared a, shared ipiv)."""
     arena = executor.arena
@@ -93,11 +87,9 @@ def _setup(executor, a: np.ndarray, nb: int, use_packed_gemm, pack_cache, pool):
         a_ref=arena.ref_of(shm_a),
         ipiv_ref=arena.ref_of(shm_ipiv),
         nb=int(nb),
-        use_packed_gemm=bool(use_packed_gemm),
-        pack_cache=bool(pack_cache),
     )
     # The parent only factors panels and finalizes — no trailing GEMMs —
-    # so it needs its buffer pool (getrf/laswp scratch) but no cache.
+    # so only its buffer pool (getrf/laswp scratch) sees use.
     ws = LUWorkspace(shm_a, nb, pool=pool)
     return ws, shm_a, shm_ipiv
 
@@ -121,28 +113,22 @@ def process_blocked_lu(
     a: np.ndarray,
     nb: int,
     executor,
-    use_packed_gemm: bool = False,
-    pack_cache=None,
     pool=None,
-    inner_executor=None,
 ) -> tuple:
     """:func:`repro.lu.factorize.blocked_lu` with process-backed update
     fan-out; same (a, ipiv) contract, bitwise-identical results.
 
-    ``inner_executor`` (the workspace's stripe executor on the thread
-    path) is accepted for signature compatibility and ignored — inside
-    a worker process the stripes of one update run serially; the
-    parallelism lives at the update level.
+    Inside a worker process the stripes of one update run serially;
+    the parallelism lives at the update level.
     """
-    ws, shm_a, shm_ipiv = _setup(executor, a, nb, use_packed_gemm, pack_cache, pool)
+    ws, shm_a, shm_ipiv = _setup(executor, a, nb, pool)
     for i in range(ws.n_panels):
         ws.execute(Task.panel_task(i))
         _publish_pivots(ws, shm_ipiv, i)
         updates = [{"stage": i, "panel": p} for p in range(i + 1, ws.n_panels)]
         if updates:
             executor.run_tasks("lu.update", updates)
-            if pack_cache:
-                executor.setup("lu.stage_done", stage=i)
+            executor.setup("lu.stage_done", stage=i)
     return _teardown(a, ws, shm_a, shm_ipiv, executor.arena)
 
 
@@ -150,10 +136,7 @@ def process_lu_dag(
     a: np.ndarray,
     nb: int,
     executor,
-    use_packed_gemm: bool = False,
-    pack_cache=None,
     pool=None,
-    inner_executor=None,
 ) -> tuple:
     """:func:`repro.lu.factorize.lu_via_dag` wave execution with the
     updates of each wave fanned across processes.
@@ -163,7 +146,7 @@ def process_lu_dag(
     update batch is dispatched; simultaneously runnable updates write
     disjoint panels, so the shard assignment cannot change any sum.
     """
-    ws, shm_a, shm_ipiv = _setup(executor, a, nb, use_packed_gemm, pack_cache, pool)
+    ws, shm_a, shm_ipiv = _setup(executor, a, nb, pool)
     dag = PanelDAG(ws.n_panels)
     updates_left = [ws.n_panels - i - 1 for i in range(ws.n_panels)]
     while not dag.done:
@@ -185,11 +168,10 @@ def process_lu_dag(
                 "lu.update",
                 [{"stage": t.stage, "panel": t.panel} for t in updates],
             )
-            if pack_cache:
-                for t in updates:
-                    updates_left[t.stage] -= 1
-                    if updates_left[t.stage] == 0:
-                        executor.setup("lu.stage_done", stage=t.stage)
+            for t in updates:
+                updates_left[t.stage] -= 1
+                if updates_left[t.stage] == 0:
+                    executor.setup("lu.stage_done", stage=t.stage)
         for t in runnable:
             dag.complete(t)
     return _teardown(a, ws, shm_a, shm_ipiv, executor.arena)

@@ -26,7 +26,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.blas.buffers import BufferPool, matmul_into, subtract_into
+# matmul_into stays bound here for benchmarks/e2e/spans.py, which wraps it.
+from repro.blas.buffers import BufferPool, matmul_into  # noqa: F401
 from repro.blas.gemm import gemm
 from repro.blas.getrf import getrf
 from repro.blas.laswp import laswp
@@ -39,27 +40,25 @@ from repro.parallel import as_executor, is_process_executor
 class LUWorkspace:
     """The in-place blocked LU state shared by all workers.
 
-    With a :class:`~repro.blas.workspace.PackCache` attached
-    (``pack_cache=True`` or an instance), every trailing update runs
-    through the packed-GEMM substrate and stage i's L21 panel is packed
-    exactly once — the first UPDATE(i, p) misses, every later one hits —
-    then invalidated the moment the stage's last update retires. An
+    Every trailing update runs through the packed-GEMM substrate with
+    one :class:`~repro.blas.workspace.PackCache` (``pack_cache``, or the
+    workspace's own — backed by ``pool``, or by the shared arena under
+    a process executor): stage i's L21 panel is packed exactly once —
+    the first UPDATE(i, p) misses, every later one hits — then
+    invalidated the moment the stage's last update retires. An
     ``executor`` (worker count or :class:`~repro.parallel.TileExecutor`)
-    is forwarded to those GEMMs so a serial task order can still fan the
-    stripe grid across threads. One
-    :class:`~repro.blas.buffers.BufferPool` (``pool``, or the
-    workspace's own) is threaded into every kernel — getrf scratch,
-    laswp gathers, trsm workspaces, GEMM stripes and the plain-path
-    trailing product — so steady-state stages rent their temporaries
-    from the arena instead of allocating.
+    is forwarded to those GEMMs so a serial task order can still fan
+    the stripe grid across threads. One :class:`~repro.blas.buffers.BufferPool` (``pool``, or
+    the workspace's own) is threaded into every kernel — getrf scratch,
+    laswp gathers, trsm workspaces and GEMM stripes — so steady-state
+    stages rent their temporaries from the arena instead of allocating.
     """
 
     def __init__(
         self,
         a: np.ndarray,
         nb: int,
-        use_packed_gemm: bool = False,
-        pack_cache=None,
+        pack_cache: Optional[PackCache] = None,
         executor=None,
         pool: Optional[BufferPool] = None,
     ):
@@ -75,7 +74,6 @@ class LUWorkspace:
         self.nb = nb
         self.n_panels = -(-self.n // nb)
         self.stage_ipiv: List[Optional[np.ndarray]] = [None] * self.n_panels
-        self.use_packed_gemm = use_packed_gemm
         self.executor = as_executor(executor)
         # A process-backed stripe executor needs the matrix (and the
         # cached pack panels) addressable from the worker processes:
@@ -86,14 +84,18 @@ class LUWorkspace:
         if self.executor is not None and is_process_executor(self.executor):
             self._restore_to = self.a
             self.a = self.executor.arena.adopt(self.a, key="lu.a")
-            if pack_cache is True:
+            if pack_cache is None:
                 pack_cache = self.executor.arena.pack_cache()
-        if pack_cache is True:
-            pack_cache = PackCache()
-        elif pack_cache is False:
-            pack_cache = None
-        self.pack_cache: Optional[PackCache] = pack_cache
         self.pool = BufferPool() if pool is None else pool
+        if pack_cache is None:
+            # Cached panels rent from the pool: packing allocates nothing.
+            pack_cache = PackCache(
+                alloc=lambda shape, dtype: self.pool.checkout(
+                    shape, dtype, key="lu.pack"
+                ),
+                free=self.pool.release,
+            )
+        self.pack_cache = pack_cache
         # Per-stage count of outstanding trailing updates, so the stage's
         # packed L21 can be dropped as soon as its last consumer retires.
         self._updates_left = [self.n_panels - i - 1 for i in range(self.n_panels)]
@@ -143,41 +145,26 @@ class LUWorkspace:
         trsm_lower_unit_left(l11, u_block, pool=self.pool)
         # DGEMM: trailing rows -= L21 @ U block.
         if block.shape[0] > w:
-            l21 = self.a[r0 + w :, self.panel_cols(i)]
-            if self.pack_cache is not None:
-                gemm(
-                    l21,
-                    u_block,
-                    block[w:, :],
-                    alpha=-1.0,
-                    beta=1.0,
-                    pack_cache=self.pack_cache,
-                    a_key=("lu.l21", i),
-                    b_key=("lu.u", i, p),
-                    executor=self.executor,
-                    pool=self.pool,
-                )
-            elif self.use_packed_gemm:
-                gemm(
-                    l21, u_block, block[w:, :], alpha=-1.0, beta=1.0,
-                    executor=self.executor, pool=self.pool,
-                )
-            else:
-                trailing = block[w:, :]
-                with self.pool.rent(
-                    trailing.shape, trailing.dtype, key="lu.trailing"
-                ) as prod:
-                    matmul_into(self.pool, l21, u_block, prod, key="lu.trailing")
-                    subtract_into(trailing, prod)
-        if self.pack_cache is not None:
-            # The U panel is consumed by exactly this update; the L21
-            # panel dies with the stage's last trailing update.
-            self.pack_cache.invalidate(("lu.u", i, p))
-            with self._retire_lock:
-                self._updates_left[i] -= 1
-                stage_done = self._updates_left[i] == 0
-            if stage_done:
-                self.pack_cache.invalidate(("lu.l21", i))
+            gemm(
+                self.a[r0 + w :, self.panel_cols(i)],
+                u_block,
+                block[w:, :],
+                alpha=-1.0,
+                beta=1.0,
+                pack_cache=self.pack_cache,
+                a_key=("lu.l21", i),
+                b_key=("lu.u", i, p),
+                executor=self.executor,
+                pool=self.pool,
+            )
+        # The U panel is consumed by exactly this update; the L21 panel
+        # dies with the stage's last trailing update.
+        self.pack_cache.invalidate(("lu.u", i, p))
+        with self._retire_lock:
+            self._updates_left[i] -= 1
+            stage_done = self._updates_left[i] == 0
+        if stage_done:
+            self.pack_cache.invalidate(("lu.l21", i))
 
     # -- finalisation -----------------------------------------------------------
     def finalize(self) -> np.ndarray:

@@ -295,14 +295,13 @@ class SharedArena:
 
         return BufferPool(name=name, arena=self)
 
-    def pack_cache(self, validate: str = "sample"):
+    def pack_cache(self):
         """A :class:`~repro.blas.workspace.PackCache` whose cached panels
         are allocated from this arena (and released back to it on
         invalidation), so packed tiles are shared with the workers."""
         from repro.blas.workspace import PackCache
 
         return PackCache(
-            validate=validate,
             alloc=lambda shape, dtype: self.checkout(shape, dtype, key="pack.panel"),
             free=self.release,
         )

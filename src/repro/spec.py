@@ -116,7 +116,6 @@ class RunSpec:
     refine_max_iters: Optional[int] = None
     workers: Optional[int] = None
     executor: str = "thread"
-    pack_cache: bool = True
     alloc_profile: bool = False
     fault_plan: Optional[str] = None
     checkpoint_every: Optional[int] = None
@@ -420,8 +419,6 @@ class FlagDef:
     action: Optional[str] = None
     choices: Optional[tuple] = None
     metavar: Optional[str] = None
-    #: The option stores the *negation* of the field (--no-pack-cache).
-    invert: bool = False
 
     @property
     def dest(self) -> str:
@@ -569,9 +566,6 @@ RUN_FLAGS: Tuple[FlagDef, ...] = (
             "(GIL-free shared-memory worker processes)",
             choices=EXECUTORS, type=str,
             kinds={k: {"default": "thread"} for k in _ALL}),
-    FlagDef("pack_cache", "--no-pack-cache",
-            "disable the pack-once tile cache (re-pack every GEMM panel)",
-            action="store_true", invert=True, kinds={k: {} for k in _ALL}),
     FlagDef("alloc_profile", "--alloc-profile",
             "record tracemalloc allocation spans in the result's alloc field",
             action="store_true", kinds={k: {} for k in _ALL}),
@@ -596,8 +590,6 @@ def spec_from_args(kind: str, args: argparse.Namespace) -> RunSpec:
         if kind not in fd.kinds:
             continue
         value = getattr(args, fd.dest)
-        if fd.invert:
-            value = not value
         if fd.field == "lookahead" and kind == "distributed":
             value = "on" if value else "off"
         if fd.field == "mem_gb" and value is not None:

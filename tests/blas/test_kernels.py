@@ -11,7 +11,6 @@ from repro.blas.kernels import (
     KERNEL2_ROWS,
     basic_kernel_1,
     basic_kernel_2,
-    tile_multiply_fast,
 )
 from repro.blas.packing import pack_a, pack_b
 from repro.machine.vector import VectorMachine
@@ -34,10 +33,6 @@ class TestKernelNumerics:
     def test_kernel2_matches_numpy(self):
         a, b, at, bt = tiles(KERNEL2_ROWS, 12)
         np.testing.assert_allclose(basic_kernel_2(at, bt), a @ b, rtol=1e-13)
-
-    def test_fast_path_matches_numpy(self):
-        a, b, at, bt = tiles(KERNEL2_ROWS, 17)
-        np.testing.assert_allclose(tile_multiply_fast(at, bt), a @ b, rtol=1e-13)
 
     def test_kernels_agree_on_shared_rows(self):
         # Kernel 1 on a 31-row tile and Kernel 2 on its first 30 rows
@@ -119,7 +114,3 @@ class TestValidation:
         b = np.zeros((5, 7))
         with pytest.raises(ValueError):
             basic_kernel_2(a, b)
-
-    def test_fast_path_k_mismatch(self):
-        with pytest.raises(ValueError):
-            tile_multiply_fast(np.zeros((4, 30)), np.zeros((5, 8)))

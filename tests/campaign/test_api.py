@@ -85,8 +85,8 @@ class TestCLIEquivalence:
     @pytest.mark.parametrize("kind,argv,expect", [
         ("native", ["--n", "3000", "--nb", "200", "--scheduler", "static"],
          {"nb": 200, "scheduler": "static"}),
-        ("native", ["--n", "100", "--numeric", "--no-pack-cache", "--workers", "2"],
-         {"numeric": True, "pack_cache": False, "workers": 2}),
+        ("native", ["--n", "100", "--numeric", "--workers", "2"],
+         {"numeric": True, "workers": 2}),
         ("hybrid", ["--n", "30000", "--cards", "2", "--lookahead", "basic"],
          {"cards": 2, "lookahead": "basic"}),
         ("hybrid", ["--n", "30000", "--machine", "knc-1card-128gb"],
@@ -102,6 +102,16 @@ class TestCLIEquivalence:
         spec = spec_from_args(kind, args).normalized()
         for field, value in expect.items():
             assert getattr(spec, field) == value
+
+    def test_removed_pack_cache_switch_is_rejected(self):
+        # The retired flag was spelled from its RunSpec field.
+        field = "pack_cache"
+        with pytest.raises(SystemExit) as exc:
+            main(["native", "--n", "64", "--nb", "16", "--numeric",
+                  "--no-" + field.replace("_", "-")])
+        assert exc.value.code == 2
+        with pytest.raises(ValueError, match=field):
+            RunSpec.from_dict({"kind": "native", "n": 100, field: True})
 
     def test_flag_table_covers_historical_defaults(self):
         native = spec_from_args(

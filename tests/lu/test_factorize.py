@@ -38,12 +38,6 @@ class TestBlockedLU:
         np.testing.assert_allclose(lu, lu_ref, rtol=1e-9, atol=1e-11)
         np.testing.assert_array_equal(ipiv, piv_ref)
 
-    def test_packed_gemm_variant(self):
-        a0 = rand(64, 3)
-        lu, _ = blocked_lu(a0.copy(), nb=16, use_packed_gemm=True)
-        lu_ref, _ = sla.lu_factor(a0)
-        np.testing.assert_allclose(lu, lu_ref, rtol=1e-9, atol=1e-11)
-
     @given(st.integers(2, 90), st.integers(4, 48))
     @settings(max_examples=25, deadline=None)
     def test_property_vs_scipy(self, n, nb):

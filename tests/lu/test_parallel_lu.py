@@ -1,14 +1,25 @@
-"""Parallel LU on the pack-once substrate: exact pack accounting and
-bitwise determinism across worker counts."""
+"""Parallel LU on the pack-once substrate: exact pack accounting,
+bitwise determinism across worker counts, and every LU driver checked
+against LAPACK on both executor backends."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.blas.buffers import BufferPool
 from repro.blas.workspace import PackCache
 from repro.hpl.matgen import hpl_system
 from repro.hpl.residual import hpl_residual
+from repro.hybrid.functional import hybrid_blocked_lu
 from repro.lu.factorize import blocked_lu, lu_solve, lu_via_dag
-from repro.parallel import TileExecutor
+from repro.parallel import ProcessTileExecutor, TileExecutor
+from tests.blas.test_alloc_free import (
+    DTYPES,
+    SEEDS,
+    _assert_matches_lapack,
+    _pivot_safe,
+)
 
 
 def expected_pack_counts(n: int, nb: int) -> tuple:
@@ -52,11 +63,9 @@ def test_pack_counts_deterministic_under_threads(rng):
 @pytest.mark.parametrize("workers", [1, 2, 8])
 def test_blocked_lu_bitwise_identical_across_widths(rng, workers):
     a = rng.standard_normal((160, 160))
-    lu_ref, ipiv_ref = blocked_lu(a.copy(), nb=32, pack_cache=True)
+    lu_ref, ipiv_ref = blocked_lu(a.copy(), nb=32)
     with TileExecutor(workers) as ex:
-        lu_w, ipiv_w = blocked_lu(
-            a.copy(), nb=32, pack_cache=True, executor=ex, workers=ex
-        )
+        lu_w, ipiv_w = blocked_lu(a.copy(), nb=32, executor=ex, workers=ex)
     assert np.array_equal(lu_ref, lu_w)
     assert np.array_equal(ipiv_ref, ipiv_w)
 
@@ -76,14 +85,54 @@ def test_lu_via_dag_pick_and_workers_are_exclusive(rng):
         lu_via_dag(a, nb=32, pick=lambda ts: ts[0], workers=2)
 
 
-def test_substrate_matches_plain_path_numerically(rng):
-    """The cached/stripe path is a reordering-free re-tiling: it agrees
-    with the plain NumPy update path to rounding."""
-    a = rng.standard_normal((160, 160))
-    lu_plain, ipiv_plain = blocked_lu(a.copy(), nb=32)
-    lu_sub, ipiv_sub = blocked_lu(a.copy(), nb=32, pack_cache=True)
-    assert np.array_equal(ipiv_plain, ipiv_sub)
-    assert np.allclose(lu_plain, lu_sub, rtol=1e-10, atol=1e-10)
+FACTORIZATIONS = {
+    "blocked_lu": blocked_lu,
+    "lu_via_dag": lu_via_dag,
+    "hybrid_blocked_lu": hybrid_blocked_lu,
+}
+
+
+@pytest.fixture(scope="module")
+def executors():
+    with TileExecutor(2) as tex, ProcessTileExecutor(workers=2) as pex:
+        yield {"thread": tex, "process": pex}
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("factor", sorted(FACTORIZATIONS))
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    nb=st.integers(1, 48),
+    seed=SEEDS,
+    dtype=DTYPES,
+)
+@example(n=7, nb=1, seed=0, dtype=np.float32)  # nb = 1
+@example(n=20, nb=48, seed=1, dtype=np.float64)  # nb > n
+@example(n=40, nb=16, seed=2, dtype=np.float32)  # n % nb != 0
+def test_factorizations_match_lapack(executors, factor, backend, n, nb, seed, dtype):
+    """Every LU driver, on either executor backend, picks LAPACK's pivots
+    with a P·L·U backward-error bound and leaves no cache entry or pool
+    lease behind; a caller's cache on the LU workspace counts exactly
+    one pack per panel."""
+    a0 = _pivot_safe(n, n, seed, dtype)
+    ex = executors[backend]
+    pool = BufferPool()
+    cache = PackCache()
+    kwargs = {"workers": ex, "pool": pool}
+    # Worker processes pack into their own caches; only the thread
+    # backend and the hybrid driver (whose cache stays in the parent)
+    # take the caller's.
+    if backend == "thread" or factor == "hybrid_blocked_lu":
+        kwargs["pack_cache"] = cache
+    lu, ipiv = FACTORIZATIONS[factor](a0.copy(), nb=nb, **kwargs)
+    _assert_matches_lapack(a0, lu, ipiv)
+    if backend == "thread" and factor != "hybrid_blocked_lu":
+        assert (cache.misses, cache.hits) == expected_pack_counts(n, nb)
+    assert len(cache) == 0
+    assert pool.active == 0
+    if backend == "process":
+        assert ex.arena.active == 0
 
 
 def test_seeded_hpl_n1024_parallel_equals_serial():
@@ -91,11 +140,9 @@ def test_seeded_hpl_n1024_parallel_equals_serial():
     identical LU factors — and therefore an identical solution and HPL
     residual — serial vs 8-wide."""
     a0, b = hpl_system(1024, seed=42)
-    lu_s, ipiv_s = blocked_lu(a0.copy(), nb=128, pack_cache=True)
+    lu_s, ipiv_s = blocked_lu(a0.copy(), nb=128)
     with TileExecutor(8) as ex:
-        lu_p, ipiv_p = blocked_lu(
-            a0.copy(), nb=128, pack_cache=True, executor=ex, workers=ex
-        )
+        lu_p, ipiv_p = blocked_lu(a0.copy(), nb=128, executor=ex, workers=ex)
     assert np.array_equal(lu_s, lu_p)
     assert np.array_equal(ipiv_s, ipiv_p)
     x_s = lu_solve(lu_s, ipiv_s, b)

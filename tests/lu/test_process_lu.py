@@ -40,18 +40,13 @@ class TestStripeGemm:
 
 class TestProcessLU:
     @pytest.mark.parametrize("workers", [1, 2, 8])
-    @pytest.mark.parametrize("pack_cache", [False, True])
-    def test_blocked_lu_bitwise_across_backends(self, rng, workers, pack_cache):
+    def test_blocked_lu_bitwise_across_backends(self, rng, workers):
         a = rng.standard_normal((256, 256))
-        lu_ref, ipiv_ref = blocked_lu(a.copy(), nb=48, pack_cache=pack_cache)
+        lu_ref, ipiv_ref = blocked_lu(a.copy(), nb=48)
         with TileExecutor(4) as tex:
-            lu_t, ipiv_t = blocked_lu(
-                a.copy(), nb=48, pack_cache=pack_cache, workers=tex
-            )
+            lu_t, ipiv_t = blocked_lu(a.copy(), nb=48, workers=tex)
         with ProcessTileExecutor(workers=workers) as pex:
-            lu_p, ipiv_p = blocked_lu(
-                a.copy(), nb=48, pack_cache=pack_cache, workers=pex
-            )
+            lu_p, ipiv_p = blocked_lu(a.copy(), nb=48, workers=pex)
             assert pex.pipe_max_message_bytes < MAX_PIPE_MESSAGE_BYTES
             assert pex.arena.active == 0
         assert np.array_equal(lu_ref, lu_t) and np.array_equal(ipiv_ref, ipiv_t)
@@ -77,9 +72,9 @@ class TestProcessLU:
         n, nb = 1024, 128
         a = rng.standard_normal((n, n))
         b = rng.standard_normal(n)
-        lu_ref, ipiv_ref = blocked_lu(a.copy(), nb=nb, pack_cache=True)
+        lu_ref, ipiv_ref = blocked_lu(a.copy(), nb=nb)
         with ProcessTileExecutor(workers=2) as pex:
-            lu_p, ipiv_p = blocked_lu(a.copy(), nb=nb, pack_cache=True, workers=pex)
+            lu_p, ipiv_p = blocked_lu(a.copy(), nb=nb, workers=pex)
         assert np.array_equal(lu_ref, lu_p)
         assert np.array_equal(ipiv_ref, ipiv_p)
         x_ref = lu_solve(lu_ref, ipiv_ref, b)
@@ -102,11 +97,11 @@ class TestSchedulerPathAdoption:
     def test_stripe_fanout_bitwise_and_identity_restored(self, rng):
         a0 = rng.standard_normal((300, 300))
         ref = a0.copy()
-        ipiv_ref = self._drive(LUWorkspace(ref, 48, pack_cache=True))
+        ipiv_ref = self._drive(LUWorkspace(ref, 48))
         mine = a0.copy()
         ex = make_executor("process", workers=2)
         try:
-            ws = LUWorkspace(mine, 48, pack_cache=True, executor=ex)
+            ws = LUWorkspace(mine, 48, executor=ex)
             ipiv = self._drive(ws)
             assert ws.a is mine  # caller's array identity restored
             assert ex.arena.active == 0

@@ -36,9 +36,7 @@ class TestSPBlockedLU:
     ):
         lu_ref, ipiv_ref = sp_reference
         with TileExecutor(workers) as ex:
-            lu, ipiv = blocked_lu(
-                sp_matrix.copy(), nb=48, pack_cache=True, workers=ex
-            )
+            lu, ipiv = blocked_lu(sp_matrix.copy(), nb=48, workers=ex)
         assert lu.dtype == np.float32
         assert np.array_equal(lu_ref, lu)
         assert np.array_equal(ipiv_ref, ipiv)
@@ -49,9 +47,7 @@ class TestSPBlockedLU:
     ):
         lu_ref, ipiv_ref = sp_reference
         with ProcessTileExecutor(workers=workers) as ex:
-            lu, ipiv = blocked_lu(
-                sp_matrix.copy(), nb=48, pack_cache=True, workers=ex
-            )
+            lu, ipiv = blocked_lu(sp_matrix.copy(), nb=48, workers=ex)
             assert ex.arena.active == 0
         assert lu.dtype == np.float32
         assert np.array_equal(lu_ref, lu)

@@ -5,6 +5,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -97,13 +98,16 @@ class TestTCP:
 
 
 class TestStdio:
+    SERVE = [sys.executable, "-m", "repro.cli", "service", "serve",
+             "--stdio", "--threads", "--workers", "2"]
+    ENV = {"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"}
+
     def _run_stdio(self, lines, timeout=90):
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "service", "serve",
-             "--stdio", "--threads", "--workers", "2"],
+            self.SERVE,
             input="".join(line + "\n" for line in lines),
             capture_output=True, text=True, timeout=timeout,
-            cwd=REPO, env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+            cwd=REPO, env=self.ENV,
         )
         assert proc.returncode == 0, proc.stderr
         return [json.loads(line) for line in proc.stdout.splitlines()]
@@ -125,10 +129,34 @@ class TestStdio:
 
     def test_duplicate_requests_share_one_execution(self):
         spec = SPEC.to_dict()
-        msgs = self._run_stdio([
-            json.dumps({"op": "submit", "id": str(i), "spec": spec})
-            for i in range(3)
-        ] + [json.dumps({"op": "stats", "id": "s"})])
+        proc = subprocess.Popen(
+            self.SERVE, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, text=True, cwd=REPO, env=self.ENV,
+        )
+        watchdog = threading.Timer(90, proc.kill)  # a hang fails, not blocks
+        watchdog.start()
+        try:
+            for i in range(3):
+                proc.stdin.write(
+                    json.dumps({"op": "submit", "id": str(i), "spec": spec}) + "\n"
+                )
+            proc.stdin.flush()
+            msgs = []
+            # The server answers ``stats`` as soon as it reads the line,
+            # so ask only once every result (and its cache store) is in.
+            while sum(m["event"] == "result" for m in msgs) < 3:
+                line = proc.stdout.readline()
+                assert line, "server exited before answering every submit"
+                msgs.append(json.loads(line))
+            proc.stdin.write(json.dumps({"op": "stats", "id": "s"}) + "\n")
+            proc.stdin.close()
+            msgs += [json.loads(line) for line in proc.stdout]
+            assert proc.wait() == 0
+        finally:
+            watchdog.cancel()
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
         results = [m for m in msgs if m["event"] == "result"]
         assert len(results) == 3
         assert all(m["artifact"]["status"] == "ok" for m in results)

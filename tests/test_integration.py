@@ -42,7 +42,7 @@ class TestEndToEndNative:
         # same code path as the emulated basic kernels) and still solve.
         a0, b = hpl_system(150, seed=1)
         a = a0.copy()
-        ws = LUWorkspace(a, nb=30, use_packed_gemm=True)
+        ws = LUWorkspace(a, nb=30)
         DynamicScheduler(150, nb=30).run(ws)
         x = lu_solve(ws.a, ws.finalize(), np.asarray(b))
         assert residual_passes(a0, x, b)
