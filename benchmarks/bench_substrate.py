@@ -88,9 +88,7 @@ def build_substrate():
     assert len(cache) == 0  # every panel invalidated once dead
 
     with TileExecutor(2) as ex:
-        lu_par, ipiv_par = blocked_lu(
-            a_lu.copy(), nb=NB_LU, executor=ex, workers=ex
-        )
+        lu_par, ipiv_par = blocked_lu(a_lu.copy(), nb=NB_LU, workers=ex)
     assert np.array_equal(lu_serial, lu_par)
     assert np.array_equal(ipiv_serial, ipiv_par)
 

@@ -281,6 +281,25 @@ def matmul_into(
     return out
 
 
+def add_into(target: np.ndarray, value: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """``target += value[:, :target.shape[1]]`` through ``band``, a
+    contiguous scratch array of ``value``'s shape.
+
+    Adding into a strided ``target`` takes NumPy's buffered-iterator
+    path, allocating ~128 KiB per call. Copying ``target`` into
+    ``band``, adding there with every operand contiguous and copying
+    back keeps one addition per element, so the result is bitwise
+    identical. Columns of ``value`` past ``target``'s width (a packed
+    panel's padding) are added to zeros and dropped.
+    """
+    cols = target.shape[1]
+    band[:, cols:] = 0
+    np.copyto(band[:, :cols], target)
+    np.add(band, value, out=band)
+    np.copyto(target, band[:, :cols])
+    return target
+
+
 def subtract_into(target: np.ndarray, value: np.ndarray) -> np.ndarray:
     """``target -= value`` without the buffered-iterator allocation.
 

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.blas.buffers import BufferPool
+from repro.blas.buffers import BufferPool, add_into
 from repro.blas.kernels import (
     KERNEL1_ROWS,
     KERNEL2_ROWS,
@@ -174,12 +174,13 @@ def _stripe_task(
     ncols,
     alpha,
 ):
-    """Worker-side stripe: byte-for-byte the same operand layout and
-    BLAS call as :func:`_outer_product_stripes`'s ``run_stripe`` — a
+    """Worker-side stripe: byte-for-byte the same operand layout, BLAS
+    call and fold as :func:`_outer_product_stripes`'s ``run_stripe`` — a
     C-contiguous (nrows, k) fused stripe times the packed-B panel into
     a C-contiguous accumulator, folded into the stripe's disjoint row
-    band of shared c. Identical inputs to the identical kernel give
-    bitwise-identical output at any worker count and on any backend."""
+    band of shared c through a contiguous copy of the band. Identical
+    inputs to the identical kernel give bitwise-identical output at any
+    worker count and on any backend."""
     data = ctx.resolve(a_ref)  # (n_tiles, k, tile_rows)
     b_panel = ctx.resolve(b_ref)  # (k, panel width)
     c = ctx.resolve(c_ref)
@@ -189,16 +190,16 @@ def _stripe_task(
     rhi = min(t1 * tile_rows, m)
     nrows = (t1 - t0) * tile_rows
     rows_per_task = stripe_tiles * tile_rows
-    sbuf = scratch_buffer((rows_per_task, k), dtype)
-    stripe = sbuf[:nrows]
+    width = b_panel.shape[1]
+    stripe = scratch_buffer((rows_per_task, k), dtype, "gemm.stripe")[:nrows]
     stripe.reshape(t1 - t0, tile_rows, k)[...] = data[t0:t1].transpose(0, 2, 1)
-    obuf = scratch_buffer((rows_per_task, b_panel.shape[1]), dtype)
-    out = obuf[:nrows]
+    out = scratch_buffer((rows_per_task, width), dtype, "gemm.out")[:nrows]
     np.matmul(stripe, b_panel, out=out)
     a = dtype.type(alpha)
     if a != 1.0:
         np.multiply(out, a, out=out)
-    c[rlo:rhi, :ncols] += out[: rhi - rlo, :ncols]
+    band = scratch_buffer((rows_per_task, width), dtype, "gemm.band")[: rhi - rlo]
+    add_into(c[rlo:rhi, :ncols], out[: rhi - rlo], band)
     return None
 
 
@@ -295,13 +296,7 @@ def _outer_product_stripes(c, pa, pb, alpha, executor, pool) -> None:
             np.matmul(stripe, b_panel, out=out)
             if alpha != 1.0:
                 np.multiply(out, alpha, out=out)
-            # Fold through a contiguous copy of c's row band: adding into
-            # the strided band allocates ~128 KiB of NumPy iterator
-            # buffers per call. Same one addition per element.
-            band[:, ncols:] = 0
-            np.copyto(band[:, :ncols], c[rlo:rhi, :ncols])
-            np.add(band, out[: rhi - rlo], out=band)
-            np.copyto(c[rlo:rhi, :ncols], band[:, :ncols])
+            add_into(c[rlo:rhi, :ncols], out[: rhi - rlo], band)
         finally:
             pool.release(stripe)
             pool.release(out)

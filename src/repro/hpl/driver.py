@@ -1,10 +1,10 @@
 """Native Linpack driver (Section IV) and the Sandy Bridge baseline.
 
-:class:`NativeHPL` runs the benchmark entirely "on the card": the
-factorization goes through one of the paper's two schedulers on the
-simulated Knights Corner, the solve is charged as a bandwidth-bound pass,
-and — in numeric mode — the whole thing actually computes x and checks
-the HPL residual.
+:class:`NativeHPL` runs the benchmark entirely "on the card": one of the
+paper's two schedulers predicts the factorization time on the simulated
+Knights Corner, the solve is charged as a bandwidth-bound pass, and — in
+numeric mode — the LU workspace's stage loop actually factors the
+matrix, computes x and checks the HPL residual.
 
 The Sandy Bridge curve of Figure 6 (MKL SMP Linpack) is an analytic
 baseline calibrated to the paper's two published points: 83% at N=30K
@@ -159,14 +159,17 @@ class NativeHPL:
         """Run the benchmark; ``numeric=True`` also computes and checks x
         (keep N modest — the matrix is materialised).
 
-        Numeric runs execute every trailing update on the pack-once +
-        tile-executor substrate (``workers`` wide, all cores by
-        default); the cache and pool counters land in the result's
-        metrics registry. The
-        kernels rent their scratch from the workspace's
+        Numeric runs factor through :meth:`LUWorkspace.factor
+        <repro.lu.tasks.LUWorkspace.factor>`, the stage loop, with each
+        trailing update's GEMM stripes fanned over the executor
+        (``workers`` wide, all cores by default); the scheduler only
+        predicts the time, so ``time_s`` and the ``sched.*`` metrics are
+        the same with or without numerics. The cache and pool counters
+        land in the result's metrics registry. The kernels rent their
+        scratch from the workspace's
         :class:`~repro.blas.buffers.BufferPool`, and ``alloc_profile``
-        wraps the factor/solve phases in tracemalloc
-        spans recorded as the result's ``alloc`` field.
+        wraps the factor/solve phases in tracemalloc spans recorded as
+        the result's ``alloc`` field.
         """
         workspace = None
         executor = None
@@ -188,7 +191,9 @@ class NativeHPL:
             pool = workspace.pool
         sched = self._make_scheduler()
         with profiler.span("hpl.factor"):
-            result: ScheduleResult = sched.run(workspace)
+            if numeric:
+                ipiv = workspace.factor()
+            result: ScheduleResult = sched.run()
         # Carry the scheduler's registry forward and add the HPL-level view.
         metrics = result.metrics or MetricsRegistry()
 
@@ -197,7 +202,6 @@ class NativeHPL:
         refine_iters = None
         if numeric:
             with profiler.span("hpl.solve"):
-                ipiv = workspace.finalize()
                 if self.mxp:
                     with profiler.span("hpl.refine"):
                         x, report = refine_to_double(

@@ -31,7 +31,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.blas.buffers import BufferPool, matmul_into
+from repro.blas.buffers import BufferPool, add_into, matmul_into
 from repro.blas.gemm import gemm as blas_gemm
 from repro.blas.workspace import PackCache
 from repro.hybrid.tile_select import HYBRID_KT, KERNEL_K, best_tile_size
@@ -65,6 +65,17 @@ class OffloadResult(RunResult):
     metrics: Optional[MetricsRegistry] = None
 
     kind = "offload"
+
+
+def _host_tile(
+    pool: BufferPool, a: np.ndarray, b: np.ndarray, target: np.ndarray
+) -> None:
+    """A host-stolen tile: ``target += a @ b``, the product and the
+    fold's contiguous band rented from ``pool``."""
+    with pool.rent(target.shape, target.dtype, key="offload.host") as prod:
+        with pool.rent(target.shape, target.dtype, key="offload.band") as band:
+            matmul_into(pool, a, b, prod, key="offload.host")
+            add_into(target, prod, band)
 
 
 class OffloadDGEMM:
@@ -224,15 +235,7 @@ class OffloadDGEMM:
                     pool=self.pool,
                 )
             else:
-                target = c[rows, cols]
-                with self.pool.rent(
-                    target.shape, target.dtype, key="offload.host"
-                ) as prod:
-                    matmul_into(
-                        self.pool, a[rows, :], b[:, cols], prod,
-                        key="offload.host",
-                    )
-                    np.add(target, prod, out=target)
+                _host_tile(self.pool, a[rows, :], b[:, cols], c[rows, cols])
 
         def transfer(link: Lock, nbytes: float, worker: str, kind: str):
             yield from link.acquire()

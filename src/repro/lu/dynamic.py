@@ -17,10 +17,12 @@ scheduler extends Buttari-style dynamic DAG scheduling with:
   is charged and threads are regrouped — fewer, wider groups for the
   later (smaller) stages so panel factorization stays hidden.
 
-When a :class:`~repro.lu.tasks.LUWorkspace` is supplied, every task is
-also executed numerically, so a simulated schedule provably computes the
-right factorization; for large-N timing studies the workspace is omitted
-and only durations run.
+The scheduler only predicts: it runs task durations on simulated
+time and touches no matrix. A numeric run factors through
+:meth:`~repro.lu.tasks.LUWorkspace.factor` and calls :meth:`run` for the
+predicted time; that any dependency-respecting task order gives the
+same factorization is proved by
+:func:`~repro.lu.factorize.lu_via_dag`'s property tests.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.lu.dag import PanelDAG, Task, TaskType
-from repro.lu.tasks import LUWorkspace
 from repro.lu.timing import LUTiming
 from repro.obs import MetricsRegistry, RunResult
 from repro.sim import Lock, Simulator, TraceRecorder
@@ -135,7 +136,7 @@ def _best_group_count(
 
 
 class DynamicScheduler:
-    """Simulate (and optionally execute) the dynamic-scheduled native LU."""
+    """Simulate the dynamic-scheduled native LU."""
 
     def __init__(
         self,
@@ -187,11 +188,9 @@ class DynamicScheduler:
         return sum(d for _, d in self._phases(task, g_cores, n_groups))
 
     # -- simulation ----------------------------------------------------------------
-    def run(self, workspace: Optional[LUWorkspace] = None) -> ScheduleResult:
-        if workspace is not None and (
-            workspace.n != self.n or workspace.nb != self.nb
-        ):
-            raise ValueError("workspace does not match scheduler geometry")
+    def run(self) -> ScheduleResult:
+        """Predict the factorization: drain the DAG on simulated time
+        with the thread groups and super-stages of the plan."""
         sim = Simulator()
         dag = PanelDAG(self.n_panels)
         trace = TraceRecorder()
@@ -236,8 +235,6 @@ class DynamicScheduler:
                         stage=task.stage,
                         panel=task.panel,
                     )
-                if workspace is not None:
-                    workspace.execute(task)
                 dag.complete(task)
                 tasks_run[0] += 1
                 metrics.counter(f"sched.tasks.{name}").inc()

@@ -23,22 +23,23 @@ and violet (DGETRF) regions — is fill the panel group's idle time with
 update work, start the next stage's updates early, or recover when the
 panel outlasts the trailing update (inevitable for small matrices). The
 dynamic scheduler removes exactly those losses.
+
+Like the dynamic scheduler, this one only predicts time; numeric runs
+factor through :meth:`~repro.lu.tasks.LUWorkspace.factor`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.lu.dag import Task
 from repro.lu.dynamic import ScheduleResult
-from repro.lu.tasks import LUWorkspace
 from repro.lu.timing import LUTiming
 from repro.obs import MetricsRegistry
 from repro.sim import Simulator, TraceRecorder
 
 
 class StaticLookaheadScheduler:
-    """Simulate (and optionally execute) the static look-ahead native LU."""
+    """Simulate the static look-ahead native LU."""
 
     def __init__(
         self,
@@ -95,11 +96,9 @@ class StaticLookaheadScheduler:
         return self.cores - 1
 
     # -- simulation -------------------------------------------------------------
-    def run(self, workspace: Optional[LUWorkspace] = None) -> ScheduleResult:
-        if workspace is not None and (
-            workspace.n != self.n or workspace.nb != self.nb
-        ):
-            raise ValueError("workspace does not match scheduler geometry")
+    def run(self) -> ScheduleResult:
+        """Predict the factorization: each stage's slabs, look-ahead
+        panel and closing barrier on simulated time."""
         sim = Simulator()
         trace = TraceRecorder()
         tasks_run = [0]
@@ -112,8 +111,6 @@ class StaticLookaheadScheduler:
             t0 = sim.now
             yield dur
             trace.record("panel_group", "dgetrf", t0, sim.now, info=f"s{stage}")
-            if workspace is not None:
-                workspace.execute(Task.panel_task(stage))
             tasks_run[0] += 1
 
         def run_slab(worker: str, components, head_event=None, head_frac=0.0):
@@ -164,11 +161,6 @@ class StaticLookaheadScheduler:
                     if g_panel == 0:
                         return
                     yield ready
-                    # The look-ahead head has landed: apply it numerically
-                    # before factoring the panel it feeds.
-                    if workspace is not None:
-                        workspace.execute(Task.update_task(i, i + 1))
-                        tasks_run[0] += 1
                     yield sim.process(run_panel(i + 1, g_panel))
 
                 procs = [
@@ -186,12 +178,6 @@ class StaticLookaheadScheduler:
                 procs.append(sim.process(panel_worker(), name="panel_group"))
                 for proc in procs:
                     yield proc
-                # The stage's numeric tasks (order within the stage is free
-                # under the barrier discipline).
-                if workspace is not None:
-                    for p in range(i + 2, self.n_panels):
-                        workspace.execute(Task.update_task(i, p))
-                        tasks_run[0] += 1
                 # Global barrier between stages.
                 barriers[0] += 1
                 t0 = sim.now

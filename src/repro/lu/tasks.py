@@ -10,9 +10,14 @@
   row swaps to panel p (DLASWP), forward-solve the top nb x nb block
   against L11 (DTRSM), and GEMM-update the rows below.
 
-Any execution order that respects the DAG's dependencies produces the
-same factorization; :func:`repro.lu.factorize.lu_via_dag` and the
-property tests exploit this to validate the schedulers' orderings.
+:meth:`LUWorkspace.factor` is the one single-node numeric stage loop:
+panel i, then stage i's trailing updates, in order. ``blocked_lu``, the
+numeric :class:`~repro.hpl.driver.NativeHPL` run (under either
+scheduler — the DES schedulers only predict time) and the MxP
+double-precision fallback all reach it. Any other execution order that
+respects the DAG's dependencies produces the same factorization;
+:func:`repro.lu.factorize.lu_via_dag` replays such orders one task at a
+time as the test oracle for that property.
 
 After all tasks complete, :meth:`LUWorkspace.finalize` applies each
 stage's swaps to the *left* of its panel (bookkeeping HPL defers), so the
@@ -21,7 +26,6 @@ in-place result matches LAPACK's getrf storage exactly.
 
 from __future__ import annotations
 
-import threading
 from typing import List, Optional
 
 import numpy as np
@@ -38,7 +42,9 @@ from repro.parallel import as_executor, is_process_executor
 
 
 class LUWorkspace:
-    """The in-place blocked LU state shared by all workers.
+    """The in-place blocked LU state. Tasks run one at a time — the
+    per-stage update counts are not locked — and only the GEMM stripes
+    inside a task fan out.
 
     Every trailing update runs through the packed-GEMM substrate with
     one :class:`~repro.blas.workspace.PackCache` (``pack_cache``, or the
@@ -46,9 +52,10 @@ class LUWorkspace:
     a process executor): stage i's L21 panel is packed exactly once —
     the first UPDATE(i, p) misses, every later one hits — then
     invalidated the moment the stage's last update retires. An
-    ``executor`` (worker count or :class:`~repro.parallel.TileExecutor`)
-    is forwarded to those GEMMs so a serial task order can still fan
-    the stripe grid across threads. One :class:`~repro.blas.buffers.BufferPool` (``pool``, or
+    ``executor`` (worker count, :class:`~repro.parallel.TileExecutor` or
+    :class:`~repro.parallel.ProcessTileExecutor`) is forwarded to those
+    GEMMs, so the serial task order still fans each update's stripe
+    grid across threads or processes. One :class:`~repro.blas.buffers.BufferPool` (``pool``, or
     the workspace's own) is threaded into every kernel — getrf scratch,
     laswp gathers, trsm workspaces and GEMM stripes — so steady-state
     stages rent their temporaries from the arena instead of allocating.
@@ -99,7 +106,6 @@ class LUWorkspace:
         # Per-stage count of outstanding trailing updates, so the stage's
         # packed L21 can be dropped as soon as its last consumer retires.
         self._updates_left = [self.n_panels - i - 1 for i in range(self.n_panels)]
-        self._retire_lock = threading.Lock()
         self.finalized = False
 
     # -- geometry -------------------------------------------------------------
@@ -117,6 +123,19 @@ class LUWorkspace:
         return c.stop - c.start
 
     # -- task execution ---------------------------------------------------------
+    def factor(self) -> np.ndarray:
+        """Factor the whole matrix in stage order — panel i, then stage
+        i's trailing updates — and return the global pivot vector
+        (:meth:`finalize`). Tasks run one at a time; the executor only
+        fans each update's GEMM stripes, which write disjoint row bands,
+        so results are bitwise identical at any width and on either
+        backend."""
+        for i in range(self.n_panels):
+            self._run_panel(i)
+            for p in range(i + 1, self.n_panels):
+                self._run_update(i, p)
+        return self.finalize()
+
     def execute(self, task: Task) -> None:
         if task.type is TaskType.PANEL:
             self._run_panel(task.stage)
@@ -160,10 +179,8 @@ class LUWorkspace:
         # The U panel is consumed by exactly this update; the L21 panel
         # dies with the stage's last trailing update.
         self.pack_cache.invalidate(("lu.u", i, p))
-        with self._retire_lock:
-            self._updates_left[i] -= 1
-            stage_done = self._updates_left[i] == 0
-        if stage_done:
+        self._updates_left[i] -= 1
+        if self._updates_left[i] == 0:
             self.pack_cache.invalidate(("lu.l21", i))
 
     # -- finalisation -----------------------------------------------------------

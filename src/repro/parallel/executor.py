@@ -4,19 +4,17 @@ Design constraints, in order:
 
 1. **Bitwise determinism.** Every work item handed to
    :meth:`TileExecutor.map` must write a disjoint slice of the output
-   (the GEMM row stripes of one outer product, the trailing-panel
-   updates of one LU stage). Under that contract the pool cannot change
+   (the GEMM row stripes of one outer product). Under that contract the pool cannot change
    any floating-point reduction order, so serial and parallel runs —
    and runs at different worker counts — produce bitwise-identical
    results. The executor enforces nothing numerically; it preserves
    whatever the decomposition guarantees.
-2. **No nested pools.** GEMM stripes fan out inside LU panel updates
-   that may themselves be fanned out. A worker thread that calls
-   ``map`` again (on *any* executor) runs the items inline — one level
-   of the hierarchy owns the cores, the rest degrade to serial.
+2. **No nested pools.** A worker thread that calls ``map`` again (on
+   *any* executor) runs the items inline — one level of the hierarchy
+   owns the cores, the rest degrade to serial.
 3. **Cheap reuse.** The pool is created lazily on the first parallel
    ``map`` and reused for the executor's lifetime; scratch buffers are
-   thread-local and keyed by (shape, dtype) so hot loops never
+   thread-local and keyed by (role tag, shape, dtype) so hot loops never
    re-allocate accumulators.
 
 Observability: ``parallel.tasks`` / ``parallel.maps`` counters, a
@@ -61,16 +59,18 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def scratch_buffer(shape: tuple, dtype: np.dtype) -> np.ndarray:
+def scratch_buffer(shape: tuple, dtype: np.dtype, tag: str = "") -> np.ndarray:
     """A reusable per-thread array of the requested geometry.
 
-    Contents are undefined on return; callers must fully overwrite it
-    (e.g. via ``np.matmul(..., out=buf)``).
+    ``tag`` names the buffer's role, so two roles that happen to share
+    a geometry never get the same array. Contents are undefined on
+    return; callers must fully overwrite it (e.g. via
+    ``np.matmul(..., out=buf)``).
     """
     cache = getattr(_scratch, "buffers", None)
     if cache is None:
         cache = _scratch.buffers = {}
-    key = (tuple(shape), np.dtype(dtype).str)
+    key = (tag, tuple(shape), np.dtype(dtype).str)
     buf = cache.get(key)
     if buf is None:
         buf = cache[key] = np.empty(shape, dtype=dtype)

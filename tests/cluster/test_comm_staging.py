@@ -46,10 +46,17 @@ class TestPooledStaging:
         assert pool.by_key.get("comm.segment", 0) == pool.checkouts
 
     def test_staged_transfer_reuses_arena_across_rounds(self):
+        # Rank 1 acks each round once its recv has returned the segments
+        # to rank 0's arena; rank 0 waits for the ack before the next
+        # isend, so every round after the first rents released blocks.
         def body(comm):
             out = None
             for _ in range(4):
                 out = _exchange(comm)
+                if comm.rank == 1:
+                    comm.send("ack", dest=0)
+                else:
+                    comm.recv(source=1)
             return out
 
         world = World(2)

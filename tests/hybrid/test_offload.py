@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.hybrid.offload import OffloadDGEMM
+from repro.blas.buffers import BufferPool, matmul_into
+from repro.hybrid.offload import OffloadDGEMM, _host_tile
 from repro.hybrid.tile_select import (
     HYBRID_KT,
     best_tile_size,
     min_kt,
     offload_efficiency_model,
 )
+from repro.obs import measure_temp_bytes
 
 
 class TestTileSelection:
@@ -135,6 +137,25 @@ class TestFunctionalExecution:
         np.testing.assert_allclose(c, c0 + a @ b, rtol=1e-11, atol=1e-11)
         # 100/30 merges to 3 strips per side (30, 30, 40): 9 tiles.
         assert r.tiles_card + r.tiles_host == 9
+
+    def test_host_tile_fold_bitwise_and_allocation_free(self):
+        """A host-stolen tile folds into a strided tile of a wide c with
+        one addition per element, and allocates no buffer once the pool
+        is warm."""
+        a, b, _ = self._operands(240, 61, 40, seed=4)
+        wide = np.random.default_rng(5).standard_normal((240, 2048))
+        tile = wide[:, 100:161]
+        c0 = tile.copy()
+        prod = np.empty((240, 61))
+        matmul_into(BufferPool(), a, b, prod)
+        pool = BufferPool()
+        _host_tile(pool, a, b, tile)  # warms the pool
+        np.testing.assert_array_equal(tile, c0 + prod)
+        _, temp = measure_temp_bytes(_host_tile, pool, a, b, tile)
+        # Lease bookkeeping only; a fold into the strided view allocates
+        # ~130 kB of NumPy iterator buffers.
+        assert temp < 8_192
+        assert pool.active == 0
 
     def test_c_defaults_to_zero(self):
         a, b, _ = self._operands(30, 30, 5, seed=3)

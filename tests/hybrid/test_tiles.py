@@ -57,8 +57,10 @@ class TestTileGeometry:
         with pytest.raises(ValueError):
             TileGrid(10, 10, 0, 5)
 
+    # mt = nt = 1 draws build tens of thousands of tiles, which can take
+    # longer than Hypothesis' default deadline on a loaded host.
     @given(st.integers(1, 300), st.integers(1, 300), st.integers(1, 100), st.integers(1, 100))
-    @settings(max_examples=50)
+    @settings(max_examples=50, deadline=None)
     def test_coverage_property(self, m, n, mt, nt):
         g = TileGrid(m, n, mt, nt)
         assert g.coverage_is_exact()

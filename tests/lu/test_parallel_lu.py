@@ -2,6 +2,8 @@
 bitwise determinism across worker counts, and every LU driver checked
 against LAPACK on both executor backends."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -55,7 +57,7 @@ def test_pack_counts_deterministic_under_threads(rng):
     for workers in (1, 4):
         cache = PackCache()
         with TileExecutor(workers) as ex:
-            blocked_lu(a.copy(), nb=32, pack_cache=cache, executor=ex, workers=ex)
+            blocked_lu(a.copy(), nb=32, pack_cache=cache, workers=ex)
         counts[workers] = (cache.misses, cache.hits, len(cache))
     assert counts[1] == counts[4] == expected_pack_counts(160, 32) + (0,)
 
@@ -65,29 +67,39 @@ def test_blocked_lu_bitwise_identical_across_widths(rng, workers):
     a = rng.standard_normal((160, 160))
     lu_ref, ipiv_ref = blocked_lu(a.copy(), nb=32)
     with TileExecutor(workers) as ex:
-        lu_w, ipiv_w = blocked_lu(a.copy(), nb=32, executor=ex, workers=ex)
+        lu_w, ipiv_w = blocked_lu(a.copy(), nb=32, workers=ex)
     assert np.array_equal(lu_ref, lu_w)
     assert np.array_equal(ipiv_ref, ipiv_w)
+
+
+def _random_order(seed: int):
+    """A ``pick`` policy replaying a seeded random topological order."""
+    rng = random.Random(seed)
+    return lambda runnable: rng.choice(runnable)
 
 
 @pytest.mark.parametrize("workers", [2, 8])
-def test_lu_via_dag_waves_bitwise_identical(rng, workers):
+def test_lu_via_dag_random_order_bitwise_identical(rng, workers):
+    """A random task order with `workers`-wide GEMM stripes reproduces
+    the serial stage loop bit for bit."""
     a = rng.standard_normal((128, 128))
-    lu_ref, ipiv_ref = lu_via_dag(a.copy(), nb=32)
-    lu_w, ipiv_w = lu_via_dag(a.copy(), nb=32, workers=workers)
+    lu_ref, ipiv_ref = blocked_lu(a.copy(), nb=32)
+    with TileExecutor(workers) as ex:
+        lu_w, ipiv_w = lu_via_dag(
+            a.copy(), nb=32, pick=_random_order(workers), executor=ex
+        )
     assert np.array_equal(lu_ref, lu_w)
     assert np.array_equal(ipiv_ref, ipiv_w)
 
 
-def test_lu_via_dag_pick_and_workers_are_exclusive(rng):
-    a = rng.standard_normal((64, 64))
-    with pytest.raises(ValueError, match="mutually exclusive"):
-        lu_via_dag(a, nb=32, pick=lambda ts: ts[0], workers=2)
+def _dag_random_order(a, nb, workers, **kwargs):
+    """lu_via_dag in a seeded random order, its stripes on ``workers``."""
+    return lu_via_dag(a, nb, pick=_random_order(nb), executor=workers, **kwargs)
 
 
 FACTORIZATIONS = {
     "blocked_lu": blocked_lu,
-    "lu_via_dag": lu_via_dag,
+    "lu_via_dag": _dag_random_order,
     "hybrid_blocked_lu": hybrid_blocked_lu,
 }
 
@@ -120,9 +132,9 @@ def test_factorizations_match_lapack(executors, factor, backend, n, nb, seed, dt
     pool = BufferPool()
     cache = PackCache()
     kwargs = {"workers": ex, "pool": pool}
-    # Worker processes pack into their own caches; only the thread
-    # backend and the hybrid driver (whose cache stays in the parent)
-    # take the caller's.
+    # Under the process backend the LU workspace packs into the
+    # executor's shared arena; only the thread backend and the hybrid
+    # driver (whose cache stays in the parent) take the caller's.
     if backend == "thread" or factor == "hybrid_blocked_lu":
         kwargs["pack_cache"] = cache
     lu, ipiv = FACTORIZATIONS[factor](a0.copy(), nb=nb, **kwargs)
@@ -142,7 +154,7 @@ def test_seeded_hpl_n1024_parallel_equals_serial():
     a0, b = hpl_system(1024, seed=42)
     lu_s, ipiv_s = blocked_lu(a0.copy(), nb=128)
     with TileExecutor(8) as ex:
-        lu_p, ipiv_p = blocked_lu(a0.copy(), nb=128, executor=ex, workers=ex)
+        lu_p, ipiv_p = blocked_lu(a0.copy(), nb=128, workers=ex)
     assert np.array_equal(lu_s, lu_p)
     assert np.array_equal(ipiv_s, ipiv_p)
     x_s = lu_solve(lu_s, ipiv_s, b)

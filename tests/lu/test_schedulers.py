@@ -1,17 +1,21 @@
-"""Dynamic vs static look-ahead schedulers: timing shape and numerics."""
+"""Dynamic vs static look-ahead schedulers: timing shape, and the
+numeric runs they predict."""
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from repro.hpl import driver
+from repro.hpl.driver import NativeHPL
+from repro.hpl.matgen import hpl_matrix
 from repro.lu.dynamic import (
     DynamicScheduler,
     SuperStage,
     _split_cores,
     plan_superstages,
 )
+from repro.lu.factorize import blocked_lu
 from repro.lu.static_la import StaticLookaheadScheduler
-from repro.lu.tasks import LUWorkspace
 from repro.lu.timing import LUTiming
 
 
@@ -155,26 +159,40 @@ class TestSchedulerMechanics:
             DynamicScheduler(0)
         with pytest.raises(ValueError):
             StaticLookaheadScheduler(100, nb=0)
-        ws = LUWorkspace(np.zeros((10, 10)) + np.eye(10), 5)
-        with pytest.raises(ValueError):
-            DynamicScheduler(20, nb=5).run(ws)
+
+
+def native_factors(monkeypatch, n, nb, scheduler, seed=42):
+    """(lu, ipiv) a numeric NativeHPL run hands its solve, plus the
+    original matrix — captured at the driver's ``lu_solve`` binding."""
+    seen = {}
+    real = driver.lu_solve
+
+    def spy(lu, ipiv, b, pool=None):
+        seen["lu"], seen["ipiv"] = lu.copy(), ipiv.copy()
+        return real(lu, ipiv, b, pool=pool)
+
+    monkeypatch.setattr(driver, "lu_solve", spy)
+    r = NativeHPL(n, nb=nb, scheduler=scheduler).run(numeric=True, seed=seed)
+    assert r.passed
+    return seen["lu"], seen["ipiv"], hpl_matrix(n, seed)
 
 
 class TestNumericExecution:
-    def test_dynamic_schedule_computes_correct_lu(self):
-        a0 = np.random.default_rng(11).standard_normal((120, 120))
-        ws = LUWorkspace(a0.copy(), 30)
-        DynamicScheduler(120, nb=30).run(ws)
-        ipiv = ws.finalize()
-        lu_ref, piv_ref = sla.lu_factor(a0)
-        np.testing.assert_allclose(ws.a, lu_ref, rtol=1e-9, atol=1e-11)
-        np.testing.assert_array_equal(ipiv, piv_ref)
+    """A numeric run under either scheduler factors through the stage
+    loop: bitwise ``blocked_lu``, and LAPACK's pivots."""
 
-    def test_static_schedule_computes_correct_lu(self):
-        a0 = np.random.default_rng(12).standard_normal((120, 120))
-        ws = LUWorkspace(a0.copy(), 30)
-        StaticLookaheadScheduler(120, nb=30).run(ws)
-        ipiv = ws.finalize()
-        lu_ref, piv_ref = sla.lu_factor(a0)
-        np.testing.assert_allclose(ws.a, lu_ref, rtol=1e-9, atol=1e-11)
-        np.testing.assert_array_equal(ipiv, piv_ref)
+    @staticmethod
+    def _check(monkeypatch, scheduler):
+        lu, ipiv, a0 = native_factors(monkeypatch, 120, 30, scheduler)
+        lu_ref, ipiv_ref = blocked_lu(a0.copy(), nb=30)
+        np.testing.assert_array_equal(lu, lu_ref)
+        np.testing.assert_array_equal(ipiv, ipiv_ref)
+        lu_la, piv_la = sla.lu_factor(a0)
+        np.testing.assert_allclose(lu, lu_la, rtol=1e-9, atol=1e-11)
+        np.testing.assert_array_equal(ipiv, piv_la)
+
+    def test_dynamic_schedule_computes_correct_lu(self, monkeypatch):
+        self._check(monkeypatch, "dynamic")
+
+    def test_static_schedule_computes_correct_lu(self, monkeypatch):
+        self._check(monkeypatch, "static")

@@ -1,9 +1,9 @@
 """Cross-layer integration tests.
 
 These tie the layers together end to end: the packed-kernel BLAS inside
-the LU workspace, schedulers executing real numerics under simulated
-time, offload DGEMM feeding an actual trailing update of a blocked LU
-stage, and distributed runs agreeing with local ones.
+the LU workspace, numeric runs whose schedulers only predict time,
+offload DGEMM feeding an actual trailing update of a blocked LU stage,
+and distributed runs agreeing with local ones.
 """
 
 import numpy as np
@@ -14,16 +14,15 @@ from hypothesis import strategies as st
 
 from repro import (
     DistributedHPL,
-    DynamicScheduler,
     NativeHPL,
     OffloadDGEMM,
-    StaticLookaheadScheduler,
     blocked_lu,
     lu_solve,
 )
 from repro.hpl.matgen import hpl_matrix, hpl_system
 from repro.hpl.residual import residual_passes
 from repro.lu.tasks import LUWorkspace
+from tests.lu.test_schedulers import native_factors
 
 
 class TestEndToEndNative:
@@ -43,19 +42,29 @@ class TestEndToEndNative:
         a0, b = hpl_system(150, seed=1)
         a = a0.copy()
         ws = LUWorkspace(a, nb=30)
-        DynamicScheduler(150, nb=30).run(ws)
-        x = lu_solve(ws.a, ws.finalize(), np.asarray(b))
+        ipiv = ws.factor()
+        x = lu_solve(ws.a, ipiv, np.asarray(b))
         assert residual_passes(a0, x, b)
 
     def test_simulated_time_independent_of_numerics(self):
-        # Running with or without a workspace must give identical
-        # simulated makespans (timing never depends on the data).
-        sched_a = DynamicScheduler(160, nb=40)
-        t_plain = sched_a.run().makespan_s
-        sched_b = DynamicScheduler(160, nb=40)
-        ws = LUWorkspace(hpl_matrix(160, 3), nb=40)
-        t_numeric = sched_b.run(ws).makespan_s
-        assert t_plain == pytest.approx(t_numeric, rel=1e-12)
+        # The schedulers only predict: a numeric run and a model-only
+        # run of the same spec report the same time, metrics and trace.
+        for scheduler in ("dynamic", "static"):
+            model = NativeHPL(160, nb=40, scheduler=scheduler).run()
+            numeric = NativeHPL(160, nb=40, scheduler=scheduler).run(numeric=True)
+            assert numeric.passed
+            assert numeric.time_s == model.time_s
+            assert numeric.factor_time_s == model.factor_time_s
+            assert _sched_metrics(numeric) == _sched_metrics(model)
+            assert numeric.trace.spans == model.trace.spans
+
+
+def _sched_metrics(result) -> dict:
+    """Every ``sched.*`` entry of a result's metrics, by kind."""
+    return {
+        kind: {k: v for k, v in entries.items() if k.startswith("sched.")}
+        for kind, entries in result.metrics.to_dict().items()
+    }
 
 
 class TestOffloadIntoLU:
@@ -113,20 +122,19 @@ class TestDistributedAgreesWithLocal:
 
 
 class TestSchedulersAgreeNumerically:
-    def test_both_schedulers_same_factorization(self):
-        a0 = hpl_matrix(140, seed=9)
-        ws_d = LUWorkspace(a0.copy(), 35)
-        DynamicScheduler(140, nb=35).run(ws_d)
-        ws_s = LUWorkspace(a0.copy(), 35)
-        StaticLookaheadScheduler(140, nb=35).run(ws_s)
-        np.testing.assert_array_equal(ws_d.a, ws_s.a)
-        np.testing.assert_array_equal(ws_d.finalize(), ws_s.finalize())
+    def test_both_schedulers_same_factorization(self, monkeypatch):
+        lu_d, ipiv_d, a0 = native_factors(monkeypatch, 140, 35, "dynamic")
+        lu_s, ipiv_s, _ = native_factors(monkeypatch, 140, 35, "static")
+        np.testing.assert_array_equal(lu_d, lu_s)
+        np.testing.assert_array_equal(ipiv_d, ipiv_s)
+        lu_ref, ipiv_ref = blocked_lu(a0.copy(), nb=35)
+        np.testing.assert_array_equal(lu_d, lu_ref)
+        np.testing.assert_array_equal(ipiv_d, ipiv_ref)
 
     def test_scipy_cross_check(self):
         a0 = hpl_matrix(96, seed=11)
         ws = LUWorkspace(a0.copy(), 24)
-        DynamicScheduler(96, nb=24).run(ws)
-        ipiv = ws.finalize()
+        ipiv = ws.factor()
         lu_ref, piv_ref = sla.lu_factor(a0)
         np.testing.assert_allclose(ws.a, lu_ref, rtol=1e-10, atol=1e-11)
         np.testing.assert_array_equal(ipiv, piv_ref)
