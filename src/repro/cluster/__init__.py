@@ -11,13 +11,15 @@ provides the in-process stand-in:
   overlap accounting;
 * :mod:`repro.cluster.grid` — the P x Q process grid and 2-D
   block-cyclic distribution maps HPL uses;
-* :mod:`repro.cluster.panel_bcast` — panel broadcast along process rows;
+* :mod:`repro.cluster.panel_bcast` — panel broadcast along process rows
+  (star / binomial / ring trees, inline or non-blocking hops);
+* :mod:`repro.cluster.bcast_algos` — analytic broadcast cost models;
 * :mod:`repro.cluster.swap` — distributed pivot row exchange;
 * :mod:`repro.cluster.hpl_mpi` — the distributed LU/HPL: numerically
   real, verified against the single-node factorization, with traffic
-  statistics that feed the network timing model, and an optional
-  look-ahead schedule that overlaps panel broadcast with the trailing
-  update (bitwise-identical results).
+  statistics that feed the network timing model; one stage loop whose
+  look-ahead depth (0 or 1) decides whether the panel broadcast overlaps
+  the trailing update (bitwise-identical results at both depths).
 """
 
 from repro.cluster.comm import (
@@ -35,8 +37,6 @@ from repro.cluster.comm import (
 )
 from repro.cluster.grid import ProcessGrid, BlockCyclic
 from repro.cluster.panel_bcast import (
-    bcast_along_row,
-    bcast_along_col,
     ibcast_panel_start,
     ibcast_panel_post,
     ibcast_panel_finish,
@@ -46,13 +46,7 @@ from repro.cluster.swap import (
     exchange_pivot_rows_long,
     resolve_final_sources,
 )
-from repro.cluster.bcast_algos import (
-    ring_bcast,
-    binomial_bcast,
-    segmented_ring_bcast,
-    segmented_ring_bcast_nb,
-    bcast_time_model,
-)
+from repro.cluster.bcast_algos import bcast_time_model
 from repro.cluster.hpl_mpi import DistributedHPL, DistributedResult
 from repro.cluster.native_cluster import NativeClusterHPL, NativeClusterResult
 
@@ -70,18 +64,12 @@ __all__ = [
     "waitall",
     "ProcessGrid",
     "BlockCyclic",
-    "bcast_along_row",
-    "bcast_along_col",
     "ibcast_panel_start",
     "ibcast_panel_post",
     "ibcast_panel_finish",
     "exchange_pivot_rows",
     "exchange_pivot_rows_long",
     "resolve_final_sources",
-    "ring_bcast",
-    "binomial_bcast",
-    "segmented_ring_bcast",
-    "segmented_ring_bcast_nb",
     "bcast_time_model",
     "DistributedHPL",
     "DistributedResult",

@@ -1,210 +1,25 @@
-"""Panel-broadcast algorithms.
+"""Analytic cost models of the panel-broadcast shapes.
 
 Reference HPL ships six broadcast variants because the panel broadcast
 sits on the critical path of every stage; the paper's U broadcast
-pipelining (Section V-A) exists for the same reason. This module
-implements the three classic shapes over the simulated communicator —
-all functionally verified to deliver identical payloads — plus analytic
-cost models used by the broadcast ablation benchmark:
+pipelining (Section V-A) exists for the same reason. The distributed
+run executes its shapes in :mod:`repro.cluster.panel_bcast`; this module
+predicts their completion time for the broadcast ablation benchmark:
 
 * **ring** (HPL's ``1ring``): rank i forwards to i+1; latency scales
   with the group size, but each link carries the payload once — good
   when the broadcast can be overlapped with compute.
 * **binomial tree**: log2(size) rounds; the standard latency-optimal
   tree for unsegmented messages.
-* **segmented ring** (HPL's bandwidth-optimal long broadcast): the
-  payload is cut into segments pipelined around the ring; for large
-  payloads the cost approaches one payload transfer regardless of the
-  group size.
-* **ring-modified** (:func:`segmented_ring_bcast_nb`): the non-blocking
-  segmented ring the look-ahead schedule uses — each hop forwards a
-  segment with ``isend`` as soon as it arrives, so the forward of
-  segment *s* overlaps the receive of segment *s+1* and the whole
-  broadcast can drain behind the trailing update.
+* **segmented ring** / **ring-mod** (HPL's bandwidth-optimal long
+  broadcast): the payload is cut into segments pipelined around the
+  ring; for large payloads the cost approaches one payload transfer
+  regardless of the group size.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, List, Sequence
-
-import numpy as np
-
-from repro.cluster.comm import Comm
-
-_TAG = -7
-_NB_TAG = -97
-
-
-def _group_pos(group: Sequence[int], rank: int) -> int:
-    try:
-        return list(group).index(rank)
-    except ValueError:
-        raise ValueError(f"rank {rank} is not in the broadcast group") from None
-
-
-def ring_bcast(comm: Comm, payload: Any, root: int, group: Sequence[int]) -> Any:
-    """1-ring: root -> next -> next ... around the group."""
-    group = list(group)
-    pos = _group_pos(group, comm.rank)
-    rpos = _group_pos(group, root)
-    size = len(group)
-    if size == 1:
-        return payload
-    rel = (pos - rpos) % size
-    if rel == 0:
-        comm.send(payload, group[(pos + 1) % size], tag=_TAG)
-        return payload
-    got = comm.recv(group[(pos - 1) % size], tag=_TAG)
-    if rel != size - 1:
-        comm.send(got, group[(pos + 1) % size], tag=_TAG)
-    return got
-
-
-def binomial_bcast(comm: Comm, payload: Any, root: int, group: Sequence[int]) -> Any:
-    """Binomial tree: ceil(log2(size)) rounds.
-
-    In relative ranks: a non-root receives from ``rel - lowbit(rel)``,
-    then both it and the root fan out to ``rel + mask`` for every mask
-    below the bit they received on (the root starts at the top bit).
-    """
-    group = list(group)
-    size = len(group)
-    rpos = _group_pos(group, root)
-    rel = (_group_pos(group, comm.rank) - rpos) % size
-
-    def abs_rank(relative: int) -> int:
-        return group[(relative + rpos) % size]
-
-    if rel == 0:
-        got = payload
-        mask = 1 << max(0, (size - 1).bit_length() - 1)
-    else:
-        low = rel & -rel
-        got = comm.recv(abs_rank(rel - low), tag=_TAG)
-        mask = low >> 1
-    while mask >= 1:
-        dst = rel + mask
-        if dst < size:
-            comm.send(got, abs_rank(dst), tag=_TAG)
-        mask >>= 1
-    return got
-
-
-def segmented_ring_bcast(
-    comm: Comm,
-    payload: np.ndarray,
-    root: int,
-    group: Sequence[int],
-    segments: int = 4,
-) -> np.ndarray:
-    """Pipelined ring broadcast of an array in ``segments`` pieces."""
-    group = list(group)
-    size = len(group)
-    pos = _group_pos(group, comm.rank)
-    rpos = _group_pos(group, root)
-    if size == 1:
-        return payload
-    rel = (pos - rpos) % size
-    nxt = group[(pos + 1) % size]
-    prv = group[(pos - 1) % size]
-    if rel == 0:
-        arr = np.asarray(payload)
-        for s, part in enumerate(np.array_split(arr.ravel(), segments)):
-            comm.send((s, arr.shape, part), nxt, tag=_TAG - 1 - s)
-        return payload
-    parts: List = [None] * segments
-    shape = None
-    for s in range(segments):
-        s_got, shape, part = comm.recv(prv, tag=_TAG - 1 - s)
-        parts[s_got] = part
-        if rel != size - 1:
-            comm.send((s_got, shape, part), nxt, tag=_TAG - 1 - s)
-    return np.concatenate(parts).reshape(shape)
-
-
-def segmented_ring_bcast_nb(
-    comm: Comm,
-    payload: Any,
-    root: int,
-    group: Sequence[int],
-    segments: int = 4,
-    tag: int = _NB_TAG,
-) -> Any:
-    """HPL's "ring-modified" broadcast: pipelined segmented ring with
-    non-blocking forwarding.
-
-    The payload — an ndarray, or a tuple/list of ndarrays whose leading
-    dimensions match the first array's (they are split in tandem, like a
-    panel's ``(global_rows, L_block)`` pair) — is cut into ``segments``
-    pieces. Every hop forwards each segment with ``isend`` the moment it
-    arrives, so the forward of segment *s* overlaps the receive of
-    segment *s+1*; non-array components (and arrays with a different
-    leading dimension) ride with segment 0. Only the root needs to know
-    ``segments``: every message is self-describing.
-    """
-    group = list(group)
-    size = len(group)
-    pos = _group_pos(group, comm.rank)
-    rpos = _group_pos(group, root)
-    if size == 1:
-        return payload
-    rel = (pos - rpos) % size
-    nxt = group[(pos + 1) % size]
-    prv = group[(pos - 1) % size]
-
-    if rel == 0:
-        was_seq = isinstance(payload, (tuple, list))
-        items = list(payload) if was_seq else [np.asarray(payload)]
-        lead = np.asarray(items[0]).shape[0] if np.asarray(items[0]).ndim else 0
-        nseg = max(1, min(int(segments), max(1, lead)))
-        splits = np.array_split(np.arange(lead), nseg)
-        reqs = []
-        for s, idx in enumerate(splits):
-            seg = [
-                a[idx]
-                if isinstance(a, np.ndarray) and a.ndim and a.shape[0] == lead
-                else (a if s == 0 else None)
-                for a in items
-            ]
-            reqs.append(comm.isend((s, nseg, was_seq, seg), nxt, tag=tag, op="bcast"))
-        comm.waitall(reqs)
-        return payload
-
-    first = comm.recv(prv, tag=tag)
-    nseg = first[1]
-    segs: List[Any] = [None] * nseg
-    reqs = []
-    msg = first
-    received = 0
-    while True:
-        s, _n, was_seq, seg = msg
-        if rel != size - 1:
-            reqs.append(comm.isend(msg, nxt, tag=tag, op="bcast"))
-        segs[s] = seg
-        received += 1
-        if received == nseg:
-            break
-        msg = comm.recv(prv, tag=tag)
-    comm.waitall(reqs)
-    n_items = len(segs[0])
-    out = []
-    for i in range(n_items):
-        parts = [seg[i] for seg in segs]
-        if all(p is None for p in parts[1:]):
-            out.append(parts[0])
-        else:
-            out.append(np.concatenate(parts))
-    return tuple(out) if was_seq else out[0]
-
-
-#: Named registry used by the ablation benchmark and the docs.
-ALGORITHMS = {
-    "ring": ring_bcast,
-    "binomial": binomial_bcast,
-    "segmented-ring": segmented_ring_bcast,
-    "ring-mod": segmented_ring_bcast_nb,
-}
 
 
 def bcast_time_model(

@@ -9,26 +9,28 @@ real HPL does), then the grid factors it stage by stage:
    (a gather-based panel factorization — simple, and bit-identical to
    the single-node panel, which is what lets the tests verify the
    distributed run against :func:`repro.lu.factorize.blocked_lu`);
-2. the pivot pairs broadcast world-wide and every process column applies
-   the distributed row exchange (:mod:`repro.cluster.swap`);
-3. the factored panel broadcasts along process rows
-   (:mod:`repro.cluster.panel_bcast`); the diagonal row solves its U
-   blocks (DTRSM) and broadcasts them down the columns;
+2. the factored panel, with the stage pivots riding along, broadcasts
+   along process rows (:mod:`repro.cluster.panel_bcast`) and every
+   process column applies the distributed row exchange
+   (:mod:`repro.cluster.swap`);
+3. the diagonal row solves its U blocks (DTRSM) and sends them down the
+   columns;
 4. every rank GEMM-updates its local trailing block.
 
-With ``lookahead=True`` the schedule is restructured into the paper's
-Section IV pipeline: during stage *k*'s trailing update the next panel's
-owner column updates **its own next-panel columns first**, factors panel
-*k+1* and starts broadcasting it (pivots riding along) with non-blocking
-chunked ``isend`` — then finishes the rest of its trailing update while
-the broadcast drains on the background sender threads. Every other
-column posts its panel ``irecv`` before updating, so by the time stage
-*k+1* begins the panel has usually already landed and the broadcast
-never sits on the critical path. The U broadcast is overlapped the same
-way (``isend`` per column peer). The factorization is bit-for-bit
-identical to the synchronous schedule — only the order of independent
-work changes — and the overlap is real wall-clock, since BLAS releases
-the GIL under the communication threads.
+One stage loop runs every schedule; ``lookahead`` is HPL's DEPTH (0 or
+1) and only reorders independent work. At depth 0 a stage factors its
+own panel at the top and every send goes out inline. At depth 1 — the
+paper's Section IV pipeline — the next panel's owner column updates
+**its own next-panel columns first** during stage *k*'s trailing
+update, factors panel *k+1* and starts broadcasting it with
+non-blocking chunked ``isend``, then finishes the rest of its update
+while the broadcast drains on the background sender threads. Every
+other column posts its panel ``irecv`` before the rest of its update,
+so by the time stage *k+1* begins the panel has usually landed. The U
+blocks go out by ``isend`` the same way. Both depths issue the same
+GEMM calls, so the factorization is bit-for-bit identical, and the
+overlap is real wall-clock, since BLAS releases the GIL under the
+communication threads.
 
 After the last stage the matrix is gathered at rank 0, the system is
 solved and the HPL residual checked. Per-rank traffic statistics and
@@ -53,15 +55,11 @@ from repro.blas.trsm import trsm_lower_unit_left
 from repro.blas.workspace import PackCache
 from repro.cluster.comm import Comm, DEFAULT_CHUNK_BYTES, RecvRequest, World
 from repro.cluster.grid import BlockCyclic, ProcessGrid
-from repro.cluster.bcast_algos import (
-    binomial_bcast,
-    ring_bcast,
-    segmented_ring_bcast_nb,
-)
 from repro.cluster.panel_bcast import (
     ibcast_panel_finish,
     ibcast_panel_post,
     ibcast_panel_start,
+    send_hop,
 )
 from repro.cluster.swap import (
     exchange_pivot_rows,
@@ -74,6 +72,7 @@ from repro.lu.factorize import lu_solve
 from repro.lu.timing import LUTiming
 from repro.obs import AllocProfiler, MetricsRegistry, RunResult
 from repro.parallel import EXECUTOR_BACKENDS, make_executor
+from repro.spec import BCAST_ALGOS, SWAP_ALGOS
 from repro.elastic.plan import plan_relayout
 from repro.elastic.redistribute import redistribute
 from repro.elastic.schedule import parse_schedule, segments, survivor_grid
@@ -86,8 +85,8 @@ from repro.resilience import (
     RetryPolicy,
 )
 
-#: Tag bases for the look-ahead panel / U broadcast streams (one tag per
-#: stage keeps concurrent stages from cross-matching).
+#: Tag bases for the panel / U broadcast streams (one tag per stage
+#: keeps concurrent stages from cross-matching).
 _PANEL_TAG = 7_000_000
 _U_TAG = 8_000_000
 
@@ -159,16 +158,10 @@ class DistributedHPL:
     With ``use_offload=True`` every rank's local trailing update runs
     through the offload-DGEMM engine (tiles, queues, work stealing) —
     the complete multi-node hybrid system of Section V, executed
-    numerically end to end. With ``lookahead=True`` the stages run the
-    paper's look-ahead pipeline over the non-blocking communicator:
-    panel broadcasts (and pivots) overlap the trailing update.
+    numerically end to end. ``lookahead`` is the look-ahead depth
+    (``False`` = 0, ``True`` = 1): at depth 1 the panel broadcast
+    (pivots riding along) overlaps the trailing update.
     """
-
-    #: Panel-broadcast algorithm choices (HPL's BCAST menu, abridged).
-    #: ``ring-mod`` is the pipelined segmented ring (HPL's long bcast).
-    BCAST_ALGOS = ("star", "ring", "binomial", "ring-mod")
-    #: Row-swap variants: ordered pairwise exchange vs the long swap.
-    SWAP_ALGOS = ("pairwise", "long")
 
     def __init__(
         self,
@@ -207,10 +200,10 @@ class DistributedHPL:
             raise ValueError("checkpoint_every must be positive")
         if max_recoveries < 0:
             raise ValueError("max_recoveries must be >= 0")
-        if bcast_algo not in self.BCAST_ALGOS:
-            raise ValueError(f"bcast_algo must be one of {self.BCAST_ALGOS}")
-        if swap_algo not in self.SWAP_ALGOS:
-            raise ValueError(f"swap_algo must be one of {self.SWAP_ALGOS}")
+        if bcast_algo not in BCAST_ALGOS:
+            raise ValueError(f"bcast_algo must be one of {BCAST_ALGOS}")
+        if swap_algo not in SWAP_ALGOS:
+            raise ValueError(f"swap_algo must be one of {SWAP_ALGOS}")
         if chunk_kb is not None and chunk_kb <= 0:
             raise ValueError("chunk_kb must be positive")
         if executor not in EXECUTOR_BACKENDS:
@@ -408,10 +401,10 @@ class DistributedHPL:
         self, cols: np.ndarray, trail_cols_mask: np.ndarray, k: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Split this rank's trailing columns of stage ``k`` into the
-        next panel's columns (updated first under look-ahead) and the
-        rest. ``early`` is non-empty only on the column owning panel
-        k+1; at the last stage everything is ``rest``. Both schedules
-        route through this so their GEMM call shapes match exactly.
+        next panel's columns (updated first, so look-ahead can factor
+        panel k+1 before the rest) and the rest. ``early`` is non-empty
+        only on the column owning panel k+1; at the last stage
+        everything is ``rest``.
         """
         k0 = k * self.nb
         kw = min(self.nb, self.n - k0)
@@ -506,7 +499,7 @@ class DistributedHPL:
             )
         return cursor, pivots, panel_state
 
-    # -- the synchronous SPMD body ------------------------------------------------
+    # -- the SPMD stage loop ---------------------------------------------------------
     def _rank_main(self, comm: Comm):
         bc, grid = self.bc, self.grid
         my_row, my_col = grid.coords(comm.rank)
@@ -518,157 +511,42 @@ class DistributedHPL:
                               dtype=self.np_dtype)
         cache = PackCache()
         pool = BufferPool()  # per-rank arena
-        k_start, stage_pivots, _saved_panel = self._restore(comm, a_loc)
-        bcast_wall_s, bcast_calls = 0.0, 0  # per-algorithm broadcast time
-
-        for k in range(k_start, self._k_stop):
-            self._panel_boundary(comm, k, k_start, a_loc, stage_pivots)
-            k0 = k * self.nb
-            kw = min(self.nb, self.n - k0)
-            owner_row = k % grid.p
-            owner_col = k % grid.q
-            panel_root = grid.rank_of(owner_row, owner_col)
-            panel_global_cols = np.arange(k0, k0 + kw)
-            my_panel_cols = np.flatnonzero(np.isin(cols, panel_global_cols))
-            below = rows >= k0  # local rows in the panel's row range
-
-            # 1. Gather the panel to the diagonal rank and factor it.
-            ipiv = None
-            if my_col == owner_col:
-                _g_rows, _block, ipiv = self._factor_panel(
-                    comm, a_loc, rows, cols, k, pool=pool
-                )
-
-            # Pivots broadcast world-wide.
-            ipiv = comm.bcast(ipiv, root=panel_root)
-            stage_pivots.append(np.asarray(ipiv))
-            pairs = pivot_pairs_from_ipiv(k0, ipiv)
-
-            # 2. Distributed row exchange on everything but the panel cols.
-            col_mask = ~np.isin(cols, panel_global_cols)
-            exchange = (
-                exchange_pivot_rows_long
-                if self.swap_algo == "long"
-                else exchange_pivot_rows
-            )
-            exchange(comm, bc, a_loc, pairs, col_mask, tag_base=10_000 + 1000 * k)
-
-            # 3a. Panel broadcast along process rows: each rank receives
-            # the factored panel rows matching its own local rows.
-            if my_col == owner_col:
-                payload = (rows[below], a_loc[np.ix_(np.flatnonzero(below), my_panel_cols)])
-            else:
-                payload = None
-            t_bc = time.perf_counter()
-            g_rows, panel_rows = self._row_bcast(comm, payload, my_row, owner_col)
-            bcast_wall_s += time.perf_counter() - t_bc
-            bcast_calls += 1
-
-            # 3b. The diagonal row solves its trailing U blocks and
-            # broadcasts them down the columns.
-            l11_rows = (g_rows >= k0) & (g_rows < k0 + kw)
-            trail_cols_mask = cols >= k0 + kw
-            if my_row == owner_row:
-                l11 = panel_rows[l11_rows][np.argsort(g_rows[l11_rows])]
-                u_rows_local = np.flatnonzero((rows >= k0) & (rows < k0 + kw))
-                if trail_cols_mask.any():
-                    u_block = a_loc[np.ix_(u_rows_local, np.flatnonzero(trail_cols_mask))]
-                    trsm_lower_unit_left(l11, u_block, pool=pool)
-                    a_loc[np.ix_(u_rows_local, np.flatnonzero(trail_cols_mask))] = u_block
-                else:
-                    u_block = np.empty((kw, 0), dtype=a_loc.dtype)
-                u_payload = u_block
-            else:
-                u_payload = None
-            u_block = comm.bcast(
-                u_payload,
-                root=grid.rank_of(owner_row, my_col),
-                ranks=grid.col_ranks(my_col),
-            )
-
-            # 4. Local trailing update (optionally via the offload
-            # engine). The update is issued as the same early/rest
-            # column split the look-ahead schedule uses — BLAS results
-            # depend on the operand shapes, so sharing the exact call
-            # sequence is what keeps the two schedules bit-for-bit
-            # identical.
-            trail_rows = np.flatnonzero(rows >= k0 + kw)
-            trail_cols = np.flatnonzero(trail_cols_mask)
-            # panel_rows are ordered like this rank's local rows, so
-            # l21 aligns with the local trailing rows.
-            l21 = panel_rows[g_rows >= k0 + kw]
-            early_sel, rest_sel = self._split_trailing_cols(cols, trail_cols_mask, k)
-            if trail_rows.size and early_sel.size:
-                self._local_update(
-                    a_loc, trail_rows, trail_cols[early_sel], l21,
-                    u_block[:, early_sel], cache, k, ("dist.u", k, "early"),
-                    pool=pool,
-                )
-            if trail_rows.size and rest_sel.size:
-                self._local_update(
-                    a_loc, trail_rows, trail_cols[rest_sel], l21,
-                    u_block[:, rest_sel], cache, k, ("dist.u", k, "rest"),
-                    pool=pool,
-                )
-            cache.invalidate(("dist.l21", k))
-            cache.invalidate(("dist.u", k, "early"))
-            cache.invalidate(("dist.u", k, "rest"))
-
-        if self._k_stop < bc.n_blocks:
-            # Segment boundary: force a consistent cut at the regrid
-            # panel; the redistribution engine rewrites it for the next
-            # grid and run() resumes from there.
-            self._save_cut(comm, self._k_stop, a_loc, stage_pivots)
-            return None
-
-        return self._epilogue(
-            comm, a_loc, rows, cols, stage_pivots, cache, bcast_wall_s,
-            bcast_calls, [], pool=pool,
-        )
-
-    # -- the look-ahead SPMD body --------------------------------------------------
-    def _rank_main_lookahead(self, comm: Comm):
-        bc, grid = self.bc, self.grid
-        my_row, my_col = grid.coords(comm.rank)
-        rows = bc.local_rows(my_row)
-        cols = bc.local_cols(my_col)
-        a_loc = hpl_submatrix(self.n, rows, cols, seed=self.seed,
-                              dtype=self.np_dtype)
-        cache = PackCache()
-        pool = BufferPool()  # per-rank arena
         k_start, stage_pivots, saved_panel = self._restore(comm, a_loc)
         nstages = bc.n_blocks
+        # HPL's DEPTH. It decides only when a panel is factored and its
+        # broadcast started, and whether sends go out inline (depth 0
+        # leaves nothing in flight, so nothing can be hidden) or as
+        # chunked isends that drain behind the trailing update.
+        depth = 1 if self.lookahead else 0
         algo = self.bcast_algo
-        chunk = self.chunk_bytes
+        hop = dict(chunk_bytes=self.chunk_bytes, nonblocking=bool(depth))
         send_reqs: List[Any] = []
         pending: Optional[RecvRequest] = None
         panel_state = None  # (g_rows, block, ipiv) on owner-column ranks
         track = comm.rank == 0  # rank 0 records per-stage overlap deltas
         stage_overlap: List[Tuple[float, float]] = []
 
-        # The first stage has nothing to hide behind: factor its panel
-        # (on a restore: reuse the checkpointed, already-factored panel
-        # whose broadcast was in flight at the cut) and launch the
-        # broadcast up front.
-        first_owner_col = k_start % grid.q
-        if my_col == first_owner_col:
-            if k_start and saved_panel is None:
-                raise RuntimeError(
-                    f"rank {comm.rank}: checkpoint at cursor {k_start} is "
-                    "missing the in-flight panel state"
-                )
-            panel_state = (
-                saved_panel
-                if saved_panel is not None
-                else self._factor_panel(comm, a_loc, rows, cols, k_start, pool=pool)
-            )
-            send_reqs += ibcast_panel_start(
-                comm, grid, panel_state, first_owner_col, _PANEL_TAG + k_start,
-                algo=algo, chunk_bytes=chunk,
-            )
-        else:
-            pending = ibcast_panel_post(
-                comm, grid, first_owner_col, _PANEL_TAG + k_start, algo=algo
+        def launch(k: int) -> List[Any]:
+            """Owner column: factor panel ``k`` (on a look-ahead restore,
+            reuse the checkpointed panel whose broadcast was in flight at
+            the cut) and start its row broadcast. Everyone else: post the
+            panel receive."""
+            nonlocal panel_state, pending
+            owner_col = k % grid.q
+            if my_col != owner_col:
+                pending = ibcast_panel_post(comm, grid, owner_col, _PANEL_TAG + k, algo=algo)
+                return []
+            if depth and k == k_start and k_start:
+                if saved_panel is None:
+                    raise RuntimeError(
+                        f"rank {comm.rank}: checkpoint at cursor {k_start} is "
+                        "missing the in-flight panel state"
+                    )
+                panel_state = saved_panel
+            else:
+                panel_state = self._factor_panel(comm, a_loc, rows, cols, k, pool=pool)
+            return ibcast_panel_start(
+                comm, grid, panel_state, owner_col, _PANEL_TAG + k, algo=algo, **hop
             )
 
         for k in range(k_start, self._k_stop):
@@ -676,19 +554,22 @@ class DistributedHPL:
             kw = min(self.nb, self.n - k0)
             owner_row = k % grid.p
             owner_col = k % grid.q
+            # A look-ahead checkpoint carries the stage-k panel, factored
+            # during stage k-1; at depth 0 it is not factored yet.
             self._panel_boundary(
                 comm, k, k_start, a_loc, stage_pivots,
-                panel_state=panel_state if my_col == owner_col else None,
+                panel_state=panel_state if depth and my_col == owner_col else None,
             )
             snap0 = comm.stats.overlap_snapshot() if track else None
+            if not depth or k == k_start:
+                send_reqs += launch(k)
 
-            # 1. Collect the stage panel (+ pivots, riding along) that
-            # started broadcasting during the previous stage.
+            # 1. Collect the stage panel (pivots ride along).
             if my_col == owner_col:
                 g_rows, panel_rows, ipiv = panel_state
             else:
                 (g_rows, panel_rows, ipiv), fwd = ibcast_panel_finish(
-                    comm, grid, pending, owner_col, _PANEL_TAG + k, algo=algo, chunk_bytes=chunk
+                    comm, grid, pending, owner_col, _PANEL_TAG + k, algo=algo, **hop
                 )
                 send_reqs += fwd
             stage_pivots.append(np.asarray(ipiv))
@@ -704,8 +585,8 @@ class DistributedHPL:
             )
             exchange(comm, bc, a_loc, pairs, col_mask, tag_base=10_000 + 1000 * k)
 
-            # 3. U solve on the diagonal row; the U broadcast drains via
-            # isend behind the sender's own trailing update.
+            # 3. The diagonal row solves its trailing U blocks and sends
+            # them down the columns.
             l11_rows = (g_rows >= k0) & (g_rows < k0 + kw)
             trail_cols_mask = cols >= k0 + kw
             if my_row == owner_row:
@@ -717,58 +598,36 @@ class DistributedHPL:
                     a_loc[np.ix_(u_rows_local, np.flatnonzero(trail_cols_mask))] = u_block
                 else:
                     u_block = np.empty((kw, 0), dtype=a_loc.dtype)
-                for peer in grid.col_ranks(my_col):
-                    if peer != comm.rank:
-                        send_reqs.append(
-                            comm.isend(u_block, peer, tag=_U_TAG + k, chunk_bytes=chunk, op="bcast")
-                        )
+                peers = [r for r in grid.col_ranks(my_col) if r != comm.rank]
+                send_reqs += send_hop(comm, u_block, peers, _U_TAG + k, **hop)
             else:
                 u_block = comm.recv(grid.rank_of(owner_row, my_col), tag=_U_TAG + k)
 
-            # 4. Trailing update with look-ahead: the next panel's
-            # columns go first, panel k+1 is factored and its broadcast
-            # starts, then the rest of the update hides the drain.
+            # 4. Local trailing update, issued as the next panel's columns
+            # (``early``, non-empty only on the column owning panel k+1)
+            # then the rest. Both depths make this same call sequence —
+            # BLAS results depend on the operand shapes — which keeps them
+            # bit-for-bit identical. At depth 1 panel k+1 is factored and
+            # its broadcast started between the two, so the rest of the
+            # update hides the drain.
             trail_rows = np.flatnonzero(rows >= k0 + kw)
             trail_cols = np.flatnonzero(trail_cols_mask)
+            # panel_rows are ordered like this rank's local rows, so
+            # l21 aligns with the local trailing rows.
             l21 = panel_rows[g_rows >= k0 + kw]
-            have_next = k + 1 < nstages
-            next_owner_col = (k + 1) % grid.q
             early_sel, rest_sel = self._split_trailing_cols(cols, trail_cols_mask, k)
-            if have_next and my_col == next_owner_col:
-                if trail_rows.size and early_sel.size:
-                    self._local_update(
-                        a_loc,
-                        trail_rows,
-                        trail_cols[early_sel],
-                        l21,
-                        u_block[:, early_sel],
-                        cache,
-                        k,
-                        ("dist.u", k, "early"),
-                        pool=pool,
-                    )
-                panel_state = self._factor_panel(
-                    comm, a_loc, rows, cols, k + 1, pool=pool
+            if trail_rows.size and early_sel.size:
+                self._local_update(
+                    a_loc, trail_rows, trail_cols[early_sel], l21,
+                    u_block[:, early_sel], cache, k, ("dist.u", k, "early"),
+                    pool=pool,
                 )
-                send_reqs += ibcast_panel_start(
-                    comm, grid, panel_state, next_owner_col, _PANEL_TAG + k + 1,
-                    algo=algo, chunk_bytes=chunk,
-                )
-            elif have_next:
-                pending = ibcast_panel_post(
-                    comm, grid, next_owner_col, _PANEL_TAG + k + 1, algo=algo
-                )
-
+            if depth and k + 1 < nstages:
+                send_reqs += launch(k + 1)
             if trail_rows.size and rest_sel.size:
                 self._local_update(
-                    a_loc,
-                    trail_rows,
-                    trail_cols[rest_sel],
-                    l21,
-                    u_block[:, rest_sel],
-                    cache,
-                    k,
-                    ("dist.u", k, "rest"),
+                    a_loc, trail_rows, trail_cols[rest_sel], l21,
+                    u_block[:, rest_sel], cache, k, ("dist.u", k, "rest"),
                     pool=pool,
                 )
             cache.invalidate(("dist.l21", k))
@@ -789,23 +648,24 @@ class DistributedHPL:
         comm.waitall(send_reqs)
 
         if self._k_stop < nstages:
-            # Segment boundary. The look-ahead already factored panel
-            # ``k_stop`` (during stage ``k_stop - 1``) and wrote it back
-            # into ``a_loc``, so the cut carries the in-flight panel
-            # state exactly like a cadence checkpoint would.
+            # Segment boundary: force a consistent cut at the regrid
+            # panel; the redistribution engine rewrites it for the next
+            # grid and run() resumes from there. At depth 1 panel
+            # ``k_stop`` was already factored (during stage k_stop - 1)
+            # and written back into ``a_loc``, so the cut carries that
+            # in-flight panel state exactly like a cadence checkpoint.
             self._save_cut(
                 comm, self._k_stop, a_loc, stage_pivots,
                 panel_state=(
                     panel_state
-                    if my_col == self._k_stop % grid.q
+                    if depth and my_col == self._k_stop % grid.q
                     else None
                 ),
             )
             return None
 
         return self._epilogue(
-            comm, a_loc, rows, cols, stage_pivots, cache, 0.0, 0, stage_overlap,
-            pool=pool,
+            comm, a_loc, rows, cols, stage_pivots, cache, stage_overlap, pool=pool
         )
 
     # -- epilogue: gather, solve, report ------------------------------------------
@@ -817,8 +677,6 @@ class DistributedHPL:
         cols: np.ndarray,
         stage_pivots: List[np.ndarray],
         cache: PackCache,
-        bcast_wall_s: float,
-        bcast_calls: int,
         stage_overlap: List[Tuple[float, float]],
         pool: BufferPool,
     ):
@@ -869,10 +727,6 @@ class DistributedHPL:
         pool.publish(metrics)
         for r, nbytes in enumerate(bytes_by_rank):
             metrics.gauge(f"comm.bytes_by_rank.{r}").set(nbytes)
-        if bcast_calls:
-            metrics.timer(f"comm.bcast.{self.bcast_algo}").add(
-                bcast_wall_s, count=bcast_calls
-            )
         # Overlap accounting, summed across ranks: exposed wait is the
         # communication on rank critical paths; hidden is drain time the
         # background senders absorbed while compute proceeded.
@@ -916,24 +770,6 @@ class DistributedHPL:
             refine=(refine_report.to_dict()
                     if refine_report is not None else None),
         )
-
-    def _row_bcast(self, comm: Comm, payload, my_row: int, owner_col: int):
-        """Panel broadcast along this rank's process row with the
-        configured algorithm."""
-        group = self.grid.row_ranks(my_row)
-        root = self.grid.rank_of(my_row, owner_col)
-        if self.bcast_algo == "ring":
-            return ring_bcast(comm, payload, root, group)
-        if self.bcast_algo == "binomial":
-            return binomial_bcast(comm, payload, root, group)
-        if self.bcast_algo == "ring-mod":
-            segments = 1
-            if payload is not None:
-                segments = max(1, -(-payload[1].nbytes // self.chunk_bytes))
-            return segmented_ring_bcast_nb(
-                comm, payload, root, group, segments=segments
-            )
-        return comm.bcast(payload, root=root, ranks=group)
 
     def _harvest_resilience(self, world: World, totals: dict) -> None:
         """Accumulate every rank's reliable-channel counters from one
@@ -1002,7 +838,6 @@ class DistributedHPL:
             else None
         )
         self._executor = executor
-        body = self._rank_main_lookahead if self.lookahead else self._rank_main
         profiler = AllocProfiler(enabled=self.alloc_profile)
         totals: dict = {}
         attempts = 0
@@ -1035,7 +870,7 @@ class DistributedHPL:
                         retry=self.retry,
                     )
                     try:
-                        results = world.run(body)
+                        results = world.run(self._rank_main)
                         self._harvest_resilience(world, totals)
                         if k_stop >= self.bc.n_blocks:
                             break

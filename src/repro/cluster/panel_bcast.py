@@ -1,58 +1,93 @@
 """Panel broadcast along process rows.
 
 After the stage-k panel is factored in process column ``k mod Q``, every
-other column needs the L rows matching *its own* local rows before it
-can run the trailing update. Each rank of the owner column therefore
-broadcasts its local slice of the factored panel along its process row —
-the "L broadcast" of the HPL stage (and the ``t_lbcast`` term of the
+other column needs the L rows matching *its own* local rows — and the
+stage pivots, which ride in the same payload — before it can run the
+row exchange and the trailing update. Each rank of the owner column
+therefore broadcasts its slice of the factored panel along its process
+row: the "L broadcast" of the HPL stage (the ``t_lbcast`` term of the
 hybrid timing model).
 
-The ``ibcast_panel_*`` helpers are the non-blocking counterpart the
-look-ahead schedule uses: the owner *starts* the broadcast with
-``isend`` (star fan-out, or a store-and-forward ring for HPL's
-"ring-modified" shape) and returns immediately; receivers post an
-``irecv`` up front and collect the panel one stage later, after their
-trailing update has been running while the message drained.
+The shape is a parent/children table over ranks numbered relative to
+the root (:func:`bcast_tree`): ``star`` fans out from the root,
+``binomial`` is the log-depth binomial tree, and ``ring`` / ``ring-mod``
+pass the payload one hop down the row at a time (store and forward, so
+each link carries it once).
+
+The broadcast is split in three calls so a look-ahead schedule can put
+compute between them: the root *starts* it, every other rank *posts*
+its receive, then *finishes* — waits for the payload and forwards it to
+its children. Every hop goes out either inline (``Comm.send``, nothing
+left in flight) or as a chunked non-blocking ``isend`` whose requests
+the caller waits on before teardown (:func:`send_hop`).
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.cluster.comm import Comm, RecvRequest, SendRequest
 from repro.cluster.grid import ProcessGrid
 
 
-def bcast_along_row(
-    comm: Comm, grid: ProcessGrid, payload: Any, owner_col: int
-) -> Any:
-    """Broadcast ``payload`` from the ``owner_col`` member of this rank's
-    process row to the whole row; returns the received payload.
+def bcast_tree(algo: str, size: int, rel: int) -> Tuple[Optional[int], List[int]]:
+    """``(parent, children)`` of relative rank ``rel`` in an ``algo``
+    broadcast over ``size`` ranks rooted at relative rank 0 (the root
+    has no parent)."""
+    if algo == "star":
+        return (None, list(range(1, size))) if rel == 0 else (0, [])
+    if algo == "binomial":
+        # A non-root receives from rel - lowbit(rel) and sends on every
+        # bit below it; the root sends on every bit, top bit first.
+        if rel == 0:
+            parent, mask = None, 1 << max(0, (size - 1).bit_length() - 1)
+        else:
+            low = rel & -rel
+            parent, mask = rel - low, low >> 1
+        children = []
+        while mask:
+            if rel + mask < size:
+                children.append(rel + mask)
+            mask >>= 1
+        return parent, children
+    if algo in ("ring", "ring-mod"):
+        return (None if rel == 0 else rel - 1), (
+            [rel + 1] if rel + 1 < size else []
+        )
+    raise ValueError(f"unknown broadcast algorithm {algo!r}")
 
-    Every rank of the grid must call this (SPMD).
-    """
-    my_row, _my_col = grid.coords(comm.rank)
-    root = grid.rank_of(my_row, owner_col)
-    return comm.bcast(payload, root=root, ranks=grid.row_ranks(my_row))
+
+def send_hop(
+    comm: Comm,
+    payload: Any,
+    dests: Sequence[int],
+    tag: int,
+    chunk_bytes: Optional[int] = None,
+    nonblocking: bool = True,
+) -> List[SendRequest]:
+    """Send one broadcast hop to every rank in ``dests``: inline
+    ``Comm.send`` (returns no requests), or chunked ``isend`` whose
+    requests are returned. ``payload`` must not be mutated until they
+    complete."""
+    if not nonblocking:
+        for dest in dests:
+            comm.send(payload, dest, tag=tag, op="bcast")
+        return []
+    return [
+        comm.isend(payload, dest, tag=tag, chunk_bytes=chunk_bytes, op="bcast")
+        for dest in dests
+    ]
 
 
-def bcast_along_col(
-    comm: Comm, grid: ProcessGrid, payload: Any, owner_row: int
-) -> Any:
-    """Broadcast down this rank's process column from ``owner_row`` — the
-    U broadcast of the HPL stage (``t_ubcast``)."""
-    _my_row, my_col = grid.coords(comm.rank)
-    root = grid.rank_of(owner_row, my_col)
-    return comm.bcast(payload, root=root, ranks=grid.col_ranks(my_col))
-
-
-# -- non-blocking look-ahead panel broadcast ------------------------------------
-
-
-def _ring_order(grid: ProcessGrid, my_row: int, owner_col: int) -> List[int]:
-    """This process row's ranks, rotated so the owner column leads."""
-    q = grid.q
-    return [grid.rank_of(my_row, (owner_col + j) % q) for j in range(q)]
+def _row_position(
+    comm: Comm, grid: ProcessGrid, owner_col: int, algo: str
+) -> Tuple[Optional[int], List[int]]:
+    """This rank's parent and children (absolute ranks) in the
+    ``algo`` tree of its process row, rooted at the owner column."""
+    my_row, my_col = grid.coords(comm.rank)
+    order = [grid.rank_of(my_row, (owner_col + j) % grid.q) for j in range(grid.q)]
+    parent, children = bcast_tree(algo, grid.q, (my_col - owner_col) % grid.q)
+    return None if parent is None else order[parent], [order[c] for c in children]
 
 
 def ibcast_panel_start(
@@ -63,29 +98,13 @@ def ibcast_panel_start(
     tag: int,
     algo: str = "star",
     chunk_bytes: Optional[int] = None,
+    nonblocking: bool = True,
 ) -> List[SendRequest]:
-    """Owner-column side: start broadcasting ``payload`` along this
-    rank's process row without blocking.
-
-    ``star`` fans out one chunked ``isend`` per row peer; ``ring-mod``
-    (and ``ring``) send only to the ring successor — every receiver
-    forwards in :func:`ibcast_panel_finish`, store-and-forward, so each
-    link carries the payload once and the forwarding drains behind the
-    next stage's compute. Returns the send requests to ``waitall`` on
-    before the run tears down.
-    """
-    my_row, _ = grid.coords(comm.rank)
-    order = _ring_order(grid, my_row, owner_col)
-    if len(order) == 1:
-        return []
-    if algo in ("ring", "ring-mod"):
-        dests = [order[1]]
-    else:  # star fan-out (also used for "binomial" — depth 1 in q<=2 grids)
-        dests = order[1:]
-    return [
-        comm.isend(payload, dest, tag=tag, chunk_bytes=chunk_bytes, op="bcast")
-        for dest in dests
-    ]
+    """Owner-column side: send ``payload`` to this rank's children in
+    the row's ``algo`` tree. Returns the send requests to ``waitall``
+    on before the run tears down (none when ``nonblocking=False``)."""
+    _parent, children = _row_position(comm, grid, owner_col, algo)
+    return send_hop(comm, payload, children, tag, chunk_bytes, nonblocking)
 
 
 def ibcast_panel_post(
@@ -95,13 +114,10 @@ def ibcast_panel_post(
     tag: int,
     algo: str = "star",
 ) -> RecvRequest:
-    """Receiver side: post the panel ``irecv`` (from the owner for
-    ``star``, from the ring predecessor for ``ring``/``ring-mod``)."""
-    my_row, _ = grid.coords(comm.rank)
-    order = _ring_order(grid, my_row, owner_col)
-    rel = order.index(comm.rank)
-    source = order[rel - 1] if algo in ("ring", "ring-mod") else order[0]
-    return comm.irecv(source, tag=tag)
+    """Receiver side: post the panel ``irecv`` from this rank's parent
+    in the row's ``algo`` tree."""
+    parent, _children = _row_position(comm, grid, owner_col, algo)
+    return comm.irecv(parent, tag=tag)
 
 
 def ibcast_panel_finish(
@@ -112,20 +128,11 @@ def ibcast_panel_finish(
     tag: int,
     algo: str = "star",
     chunk_bytes: Optional[int] = None,
+    nonblocking: bool = True,
 ) -> Tuple[Any, List[SendRequest]]:
-    """Receiver side: wait for the panel; ring shapes forward it to the
-    ring successor with ``isend`` before returning. Returns the payload
-    and any forwarding requests (to ``waitall`` on at teardown)."""
+    """Receiver side: wait for the panel and forward it to this rank's
+    children. Returns the payload and the forwarding requests (to
+    ``waitall`` on at teardown)."""
     payload = request.wait()
-    sends: List[SendRequest] = []
-    if algo in ("ring", "ring-mod"):
-        my_row, _ = grid.coords(comm.rank)
-        order = _ring_order(grid, my_row, owner_col)
-        rel = order.index(comm.rank)
-        if rel + 1 < len(order):
-            sends.append(
-                comm.isend(
-                    payload, order[rel + 1], tag=tag, chunk_bytes=chunk_bytes, op="bcast"
-                )
-            )
-    return payload, sends
+    _parent, children = _row_position(comm, grid, owner_col, algo)
+    return payload, send_hop(comm, payload, children, tag, chunk_bytes, nonblocking)

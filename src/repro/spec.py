@@ -45,8 +45,13 @@ HYBRID_LOOKAHEADS = ("none", "basic", "pipelined")
 #: Distributed look-ahead is an on/off pipeline switch.
 DIST_LOOKAHEADS = ("on", "off")
 
-#: Panel-broadcast menu (mirrors ``DistributedHPL.BCAST_ALGOS``).
+#: Panel-broadcast shapes of the distributed run (HPL's BCAST menu,
+#: abridged).
 BCAST_ALGOS = ("star", "ring", "binomial", "ring-mod")
+
+#: Row-swap variants of the distributed run: ordered pairwise exchange
+#: vs the long swap (a ``DistributedHPL`` argument, not a RunSpec field).
+SWAP_ALGOS = ("pairwise", "long")
 
 #: Tile-executor backends (mirrors :data:`repro.parallel.EXECUTOR_BACKENDS`):
 #: "thread" shares the GIL, "process" fans work across worker processes
@@ -499,7 +504,8 @@ RUN_FLAGS: Tuple[FlagDef, ...] = (
                        "help": "overlap panel broadcast with the trailing "
                                "update (Section IV)"}}),
     FlagDef("bcast_algo", "--bcast-algo",
-            "panel-broadcast algorithm (ring-mod = pipelined segmented ring)",
+            "panel-broadcast tree along process rows: star fan-out, "
+            "binomial tree, or ring / ring-mod (same hop-by-hop ring)",
             choices=BCAST_ALGOS, type=str,
             kinds={"distributed": {"default": "star"}}),
     FlagDef("chunk_kb", "--chunk-kb",

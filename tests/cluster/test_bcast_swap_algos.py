@@ -1,18 +1,22 @@
-"""Broadcast algorithm variants and the long (spread) swap."""
+"""Broadcast shapes, their cost models and the long (spread) swap.
+
+The row broadcast's shapes are also checked by the property in
+``test_lookahead.py::TestBroadcastShapeEquivalence``.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.bcast_algos import (
-    bcast_time_model,
-    binomial_bcast,
-    ring_bcast,
-    segmented_ring_bcast,
-)
+from repro.cluster.bcast_algos import bcast_time_model
 from repro.cluster.comm import World
 from repro.cluster.grid import BlockCyclic, ProcessGrid
+from repro.cluster.panel_bcast import (
+    ibcast_panel_finish,
+    ibcast_panel_post,
+    ibcast_panel_start,
+)
 from repro.cluster.swap import (
     exchange_pivot_rows,
     exchange_pivot_rows_long,
@@ -22,57 +26,77 @@ from repro.cluster.swap import (
 from repro.hpl.matgen import hpl_matrix
 
 
-def run_bcast(algo, size, root, payload, **kw):
-    group = list(range(size))
+def _row_broadcast_body(grid, algo, root, payload, tag=3, **hop):
+    """SPMD body: broadcast ``payload`` from column ``root`` along every
+    process row of ``grid`` with the ``algo`` shape."""
 
     def body(comm):
-        data = payload if comm.rank == root else None
-        return algo(comm, data, root, group, **kw)
+        _row, col = grid.coords(comm.rank)
+        if col == root:
+            got = payload
+            reqs = ibcast_panel_start(comm, grid, got, root, tag, algo=algo, **hop)
+        else:
+            req = ibcast_panel_post(comm, grid, root, tag, algo=algo)
+            got, reqs = ibcast_panel_finish(
+                comm, grid, req, root, tag, algo=algo, **hop
+            )
+        comm.waitall(reqs)
+        return got
 
-    return World(size).run(body)
+    return body
+
+
+def run_bcast(algo, size, root, payload, **hop):
+    """Results of an ``algo`` broadcast along one row of ``size`` ranks,
+    at depth 0 (inline sends) and at depth 1 (chunked ``isend``)."""
+    grid = ProcessGrid(1, size)
+    return [
+        World(size).run(
+            _row_broadcast_body(grid, algo, root, payload, nonblocking=nonblocking, **hop)
+        )
+        for nonblocking in (False, True)
+    ]
+
+
+#: Test ids keep the ``<shape>_bcast`` names of the shapes they check.
+_SHAPE_IDS = lambda algo: f"{algo}_bcast"  # noqa: E731
 
 
 class TestBroadcastAlgorithms:
     @pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
-    @pytest.mark.parametrize("algo", [ring_bcast, binomial_bcast])
+    @pytest.mark.parametrize("algo", ["ring", "binomial"], ids=_SHAPE_IDS)
     def test_everyone_gets_payload(self, algo, size):
-        results = run_bcast(algo, size, root=0, payload={"k": 7})
-        assert all(r == {"k": 7} for r in results)
+        for results in run_bcast(algo, size, root=0, payload={"k": 7}):
+            assert results == [{"k": 7}] * size
 
     @pytest.mark.parametrize("root", [0, 1, 3])
-    @pytest.mark.parametrize("algo", [ring_bcast, binomial_bcast])
+    @pytest.mark.parametrize("algo", ["ring", "binomial"], ids=_SHAPE_IDS)
     def test_nonzero_roots(self, algo, root):
-        results = run_bcast(algo, 4, root=root, payload="x")
-        assert results == ["x"] * 4
+        for results in run_bcast(algo, 4, root=root, payload="x"):
+            assert results == ["x"] * 4
 
     @pytest.mark.parametrize("size", [2, 3, 6])
     def test_segmented_ring_arrays(self, size):
+        # 192 bytes in 64-byte chunks: three segments per hop at depth 1.
         arr = np.arange(24.0).reshape(4, 6)
-        results = run_bcast(segmented_ring_bcast, size, 0, arr, segments=3)
-        for r in results:
-            np.testing.assert_array_equal(r, arr)
+        for results in run_bcast("ring-mod", size, 0, arr, chunk_bytes=64):
+            for r in results:
+                np.testing.assert_array_equal(r, arr)
 
     def test_segmented_ring_single_rank(self):
         arr = np.arange(5.0)
-        results = run_bcast(segmented_ring_bcast, 1, 0, arr)
-        np.testing.assert_array_equal(results[0], arr)
+        for results in run_bcast("ring-mod", 1, 0, arr, chunk_bytes=16):
+            np.testing.assert_array_equal(results[0], arr)
 
     def test_group_subset(self):
-        # Broadcast among ranks {1, 3} of a 4-rank world.
+        # Only process row 1 (ranks 2, 3) of a 2 x 2 world broadcasts.
+        grid = ProcessGrid(2, 2)
+        row_body = _row_broadcast_body(grid, "binomial", 1, "p")
+
         def body(comm):
-            if comm.rank in (1, 3):
-                data = "p" if comm.rank == 1 else None
-                return binomial_bcast(comm, data, 1, [1, 3])
-            return None
+            return row_body(comm) if grid.coords(comm.rank)[0] == 1 else None
 
-        assert World(4).run(body) == [None, "p", None, "p"]
-
-    def test_rank_outside_group_raises(self):
-        def body(comm):
-            return ring_bcast(comm, "x", 0, [0])
-
-        with pytest.raises(ValueError):
-            World(2).run(body)
+        assert World(4).run(body) == [None, None, "p", "p"]
 
 
 class TestBcastTimeModel:

@@ -1,9 +1,9 @@
-"""Look-ahead schedule and broadcast-shape equivalence.
+"""Look-ahead depth and the panel broadcast shapes.
 
-The acceptance bar for the overlap work: every broadcast algorithm
-delivers bitwise-identical payloads, and the look-ahead pipeline
-reproduces the synchronous ``DistributedHPL`` factorization bit for
-bit — it is a pure reordering of independent work.
+The acceptance bar for the overlap work: every broadcast shape delivers
+bitwise-identical payloads, and the depth-1 (look-ahead) pipeline
+reproduces the depth-0 ``DistributedHPL`` factorization bit for bit —
+it is a pure reordering of independent work.
 """
 
 import numpy as np
@@ -11,74 +11,153 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.bcast_algos import (
-    binomial_bcast,
-    ring_bcast,
-    segmented_ring_bcast,
-    segmented_ring_bcast_nb,
-)
-from repro.cluster.comm import World
+from repro.cluster import hpl_mpi
+from repro.cluster.comm import Comm, World
+from repro.cluster.grid import ProcessGrid
 from repro.cluster.hpl_mpi import DistributedHPL
-
-
-def _star_bcast(comm, payload, root, group):
-    return comm.bcast(payload, root=root, ranks=group)
-
-
-ALL_SHAPES = [
-    _star_bcast,
-    ring_bcast,
-    binomial_bcast,
-    segmented_ring_bcast,
-    segmented_ring_bcast_nb,
-]
+from repro.cluster.panel_bcast import (
+    ibcast_panel_finish,
+    ibcast_panel_post,
+    ibcast_panel_start,
+)
+from repro.spec import BCAST_ALGOS
 
 
 class TestBroadcastShapeEquivalence:
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=25, deadline=None)
     @given(
+        p=st.integers(1, 2),
         size=st.integers(2, 6),
         root=st.integers(0, 5),
+        algo=st.sampled_from(BCAST_ALGOS),
+        depth=st.integers(0, 1),
         rows=st.integers(1, 40),
         cols=st.integers(1, 7),
+        tuple_payload=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    def test_all_shapes_bitwise_identical(self, size, root, rows, cols, seed):
-        """Property: star / ring / binomial / segmented-ring / ring-mod
-        deliver bitwise-identical arrays for any group, root and shape."""
+    def test_all_shapes_bitwise_identical(
+        self, p, size, root, algo, depth, rows, cols, tuple_payload, seed
+    ):
+        """Property: every shape, at both depths, delivers a payload
+        bitwise equal to the root's — an ndarray, or the panel's
+        ``(g_rows, block, ipiv)`` tuple — along process rows of any
+        size from any root (each of ``p`` rows broadcasting its own
+        payload at once), with a chunk size that does not divide the
+        payload, and hands every staged segment back to its pool."""
         root = root % size
-        rng = np.random.default_rng(seed)
-        payload = rng.standard_normal((rows, cols))
-        group = list(range(size))
-        per_algo = []
-        for algo in ALL_SHAPES:
+        grid = ProcessGrid(p, size)
+        payloads = []
+        for row in range(p):
+            rng = np.random.default_rng(seed + row)
+            block = rng.standard_normal((rows, cols))
+            payloads.append(
+                (np.arange(rows) * 3 + row, block, rng.integers(0, rows, size=cols))
+                if tuple_payload
+                else block
+            )
+        hop = dict(algo=algo, chunk_bytes=24 * 7 + 5, nonblocking=bool(depth))
 
-            def body(comm, algo=algo):
-                data = payload if comm.rank == root else None
-                return algo(comm, data, root, group)
+        def body(comm):
+            row, col = grid.coords(comm.rank)
+            if col == root:
+                got = payloads[row]
+                reqs = ibcast_panel_start(comm, grid, got, root, 5, **hop)
+            else:
+                req = ibcast_panel_post(comm, grid, root, 5, algo=algo)
+                got, reqs = ibcast_panel_finish(comm, grid, req, root, 5, **hop)
+            comm.waitall(reqs)
+            comm.barrier()  # every receiver has reassembled
+            return row, got, comm.pool.active
 
-            per_algo.append(World(size).run(body))
-        for results in per_algo[1:]:
-            for got, want in zip(results, per_algo[0]):
-                assert np.array_equal(got, want)
-                assert got.dtype == want.dtype and got.shape == want.shape
+        for row, got, active in World(grid.size).run(body):
+            assert active == 0
+            want = payloads[row]
+            if not tuple_payload:
+                got, want = (got,), (want,)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert np.array_equal(g, w)
 
     def test_ring_mod_tuple_payload_tandem_split(self):
-        """The panel payload shape: (global_rows, L_block) split in
-        tandem along the leading dimension, ipiv riding with segment 0."""
+        """The panel payload shape: (global_rows, L_block, ipiv) sent
+        around a ring-mod row from a non-zero root in chunks that do not
+        divide the block, reassembled bitwise at every hop."""
         g_rows = np.arange(10, 23)
         block = np.linspace(0.0, 1.0, 13 * 4).reshape(13, 4)
         ipiv = np.array([2, 0, 1])
         payload = (g_rows, block, ipiv)
+        grid = ProcessGrid(1, 4)
+        hop = dict(algo="ring-mod", chunk_bytes=5 * 8 + 3, nonblocking=True)
 
         def body(comm):
-            data = payload if comm.rank == 1 else None
-            return segmented_ring_bcast_nb(comm, data, 1, [0, 1, 2, 3], segments=5)
+            if comm.rank == 1:
+                got = payload
+                reqs = ibcast_panel_start(comm, grid, got, 1, 5, **hop)
+            else:
+                req = ibcast_panel_post(comm, grid, 1, 5, algo="ring-mod")
+                got, reqs = ibcast_panel_finish(comm, grid, req, 1, 5, **hop)
+            comm.waitall(reqs)
+            comm.barrier()  # every receiver has reassembled
+            return got, comm.pool.active
 
-        for got in World(4).run(body):
+        for got, active in World(4).run(body):
+            assert active == 0
             assert np.array_equal(got[0], g_rows)
             assert np.array_equal(got[1], block)
             assert np.array_equal(got[2], ipiv)
+
+
+class TestBroadcastShape:
+    """The row broadcast runs the shape it names at both depths."""
+
+    #: Stage-panel sends a row root issues per stage on a 1 x 4 grid.
+    ROOT_SENDS = {"star": 3, "binomial": 2, "ring": 1, "ring-mod": 1}
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        calls = []
+        orig_send, orig_isend = Comm.send, Comm.isend
+
+        def send(self, obj, dest, tag=0, op="send"):
+            calls.append((self.rank, tag))
+            return orig_send(self, obj, dest, tag=tag, op=op)
+
+        def isend(self, obj, dest, tag=0, chunk_bytes=None, op="send"):
+            calls.append((self.rank, tag))
+            return orig_isend(self, obj, dest, tag=tag, chunk_bytes=chunk_bytes, op=op)
+
+        out = {}
+        mp = pytest.MonkeyPatch()
+        mp.setattr(Comm, "send", send)
+        mp.setattr(Comm, "isend", isend)
+        try:
+            for algo in BCAST_ALGOS:
+                for lookahead in (False, True):
+                    calls.clear()
+                    r = _run(n=64, nb=8, p=1, q=4, bcast_algo=algo,
+                             lookahead=lookahead)
+                    out[algo, lookahead] = (r, list(calls))
+        finally:
+            mp.undo()
+        return out
+
+    @pytest.mark.parametrize("lookahead", [False, True], ids=["depth0", "depth1"])
+    @pytest.mark.parametrize("algo", BCAST_ALGOS)
+    def test_row_root_sends_per_stage(self, runs, algo, lookahead):
+        r, calls = runs[algo, lookahead]
+        assert r.passed
+        stages = 64 // 8
+        for k in range(stages):
+            root_sends = calls.count((k % 4, hpl_mpi._PANEL_TAG + k))
+            assert root_sends == self.ROOT_SENDS[algo], (algo, k)
+
+    def test_every_shape_and_depth_bitwise_identical(self, runs):
+        ref, _calls = runs["star", False]
+        for r, _calls in runs.values():
+            assert np.array_equal(r.lu, ref.lu)
+            assert np.array_equal(r.ipiv, ref.ipiv)
 
 
 def _run(**kw):
@@ -162,6 +241,10 @@ class TestOverlapMetrics:
         assert r.hidden_comm_s == 0.0
         assert r.exposed_comm_s > 0.0
         assert r.metrics.to_dict()["gauges"]["comm.overlap.hidden_s"] == 0.0
+        timers = r.metrics.to_dict()["timers"]
+        assert timers["comm.overlap.stage_hidden_s"]["count"] == 128 // 32
+        assert timers["comm.overlap.stage_wait_s"]["count"] == 128 // 32
+        assert timers["comm.overlap.stage_hidden_s"]["total_s"] == 0.0
 
     def test_result_fields_serialize(self):
         r = _run(n=96, nb=32, p=2, q=2, lookahead=True, bcast_algo="ring-mod")
