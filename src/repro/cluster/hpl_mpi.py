@@ -66,12 +66,16 @@ from repro.cluster.swap import (
     exchange_pivot_rows_long,
     pivot_pairs_from_ipiv,
 )
-from repro.hpl.matgen import hpl_submatrix, hpl_system
-from repro.hpl.residual import hpl_residual, residual_passes
-from repro.lu.factorize import lu_solve
+from repro.hpl.driver import check_numeric_args, seeded_system, solve_and_verify
+# hpl_system and the solve/verify names stay bound here for
+# benchmarks/e2e/spans.py, which wraps them; the epilogue is repro.hpl.driver's.
+from repro.hpl.matgen import hpl_submatrix, hpl_system  # noqa: F401
+from repro.hpl.residual import hpl_residual, residual_passes  # noqa: F401
+from repro.hybrid.offload import offload_update
+from repro.lu.factorize import lu_solve  # noqa: F401
 from repro.lu.timing import LUTiming
 from repro.obs import AllocProfiler, MetricsRegistry, RunResult
-from repro.parallel import EXECUTOR_BACKENDS, make_executor
+from repro.parallel import make_executor
 from repro.spec import BCAST_ALGOS, SWAP_ALGOS
 from repro.elastic.plan import plan_relayout
 from repro.elastic.redistribute import redistribute
@@ -192,10 +196,7 @@ class DistributedHPL:
     ):
         if n < 1 or nb < 1:
             raise ValueError("n and nb must be positive")
-        if dtype not in ("float64", "float32"):
-            raise ValueError(f"dtype must be 'float64' or 'float32', got {dtype!r}")
-        if mxp and dtype != "float32":
-            raise ValueError("mxp factors in single precision: set dtype='float32'")
+        check_numeric_args(dtype, mxp, executor)
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
         if max_recoveries < 0:
@@ -206,13 +207,8 @@ class DistributedHPL:
             raise ValueError(f"swap_algo must be one of {SWAP_ALGOS}")
         if chunk_kb is not None and chunk_kb <= 0:
             raise ValueError("chunk_kb must be positive")
-        if executor not in EXECUTOR_BACKENDS:
-            raise ValueError(
-                f"executor must be one of {EXECUTOR_BACKENDS}, got {executor!r}"
-            )
         self.n, self.nb, self.seed = n, nb, seed
         self.dtype = dtype
-        self.np_dtype = np.float32 if dtype == "float32" else np.float64
         self.mxp = mxp
         self.refine_tol = refine_tol
         self.refine_max_iters = refine_max_iters
@@ -356,33 +352,15 @@ class DistributedHPL:
         pool: BufferPool,
     ) -> None:
         """GEMM-update ``a_loc[sub_rows, sub_cols] -= l21 @ u_block``
-        through the configured substrate (offload engine, or pack-once +
-        tile executor). ``pool`` rents the staging workspaces from the
+        through the configured substrate (the offload step, or pack-once
+        + tile executor) on a gathered copy of the fancy-indexed region,
+        scattered back. ``pool`` rents the staging workspaces from the
         rank's arena."""
         sub = np.ix_(sub_rows, sub_cols)
+        c = a_loc[sub]
         if self.use_offload:
-            from repro.hybrid.offload import OffloadDGEMM
-
-            m_t, n_t = sub_rows.size, sub_cols.size
-            c = np.ascontiguousarray(a_loc[sub])
-            neg_l21 = pool.checkout(l21.shape, l21.dtype, key="dist.l21neg")
-            np.negative(l21, out=neg_l21)
-            try:
-                OffloadDGEMM(
-                    m_t,
-                    n_t,
-                    kt=l21.shape[1],
-                    tile=(max(1, m_t // 2), max(1, n_t // 2)),
-                    host_assist=True,
-                    pool=pool,
-                ).run(neg_l21, np.ascontiguousarray(u_block), c)
-            finally:
-                pool.release(neg_l21)
-            a_loc[sub] = c
+            offload_update(l21, u_block, c, pool=pool)
         else:
-            # Pack-once + stripe substrate: the fancy-indexed region is
-            # gathered, updated in place, scattered back.
-            c = a_loc[sub]
             gemm(
                 np.ascontiguousarray(l21),
                 u_block,
@@ -395,7 +373,7 @@ class DistributedHPL:
                 executor=self._executor,
                 pool=pool,
             )
-            a_loc[sub] = c
+        a_loc[sub] = c
 
     def _split_trailing_cols(
         self, cols: np.ndarray, trail_cols_mask: np.ndarray, k: int
@@ -508,7 +486,7 @@ class DistributedHPL:
         # Local piece of the global matrix, generated independently (at
         # the working precision — each rank rounds the same DP stream).
         a_loc = hpl_submatrix(self.n, rows, cols, seed=self.seed,
-                              dtype=self.np_dtype)
+                              dtype=self.dtype)
         cache = PackCache()
         pool = BufferPool()  # per-rank arena
         k_start, stage_pivots, saved_panel = self._restore(comm, a_loc)
@@ -690,32 +668,22 @@ class DistributedHPL:
             return None
         bytes_by_rank = [b for b, _o, _c in per_rank]
         total = sum(bytes_by_rank)
-        lu = np.empty((self.n, self.n), dtype=self.np_dtype)
+        lu = np.empty((self.n, self.n), dtype=self.dtype)
         for g_rows, g_cols, piece in pieces:
             lu[np.ix_(g_rows, g_cols)] = piece
         ipiv_global = np.concatenate(
             [piv + i * self.nb for i, piv in enumerate(stage_pivots)]
         )
-        refine_report = None
-        if self.mxp:
-            # Rank 0 refines the SP factors against the DP ground truth,
-            # so the distributed MxP run faces the standard DP check.
-            from repro.hpl.mxp import refine_to_double
-
-            a0, b = hpl_system(self.n, self.seed)
-            x, refine_report = refine_to_double(
-                a0, b, lu, ipiv_global,
-                tol=self.refine_tol,
-                max_iters=self.refine_max_iters,
-                pool=pool,
-                fallback_nb=self.nb,
-                fallback_workers=self._executor,
-            )
-        else:
-            a0, b = hpl_system(self.n, self.seed, dtype=self.np_dtype)
-            x = lu_solve(lu, ipiv_global, b, pool=pool)
-        eps_dtype = np.float64 if self.mxp else self.np_dtype
         metrics = MetricsRegistry()
+        # Rank 0 solves; an MxP run refines the SP factors against the
+        # DP ground truth and faces the standard DP check.
+        verdict = solve_and_verify(
+            lu, ipiv_global,
+            seeded_system(self.n, self.seed, self.dtype, self.mxp),
+            dtype=self.dtype, mxp=self.mxp, nb=self.nb, pool=pool,
+            executor=self._executor, refine_tol=self.refine_tol,
+            refine_max_iters=self.refine_max_iters, metrics=metrics,
+        )
         metrics.counter("comm.messages").inc(comm.stats.messages_sent)
         metrics.counter("comm.total_bytes").inc(total)
         for op in sorted(comm.stats.by_op):
@@ -744,17 +712,14 @@ class DistributedHPL:
         for _b, _o, counts in per_rank:
             for name, value in counts.items():
                 metrics.counter(name).inc(value)
-        if refine_report is not None:
-            metrics.gauge("hpl.refine_time_s").set(refine_report.refine_wall_s)
-            metrics.gauge("hpl.refine_iterations").set(refine_report.iterations)
         return DistributedResult(
             n=self.n,
             nb=self.nb,
             p=self.grid.p,
             q=self.grid.q,
-            residual=hpl_residual(a0, x, b, eps_dtype=eps_dtype),
-            passed=residual_passes(a0, x, b, eps_dtype=eps_dtype),
-            x=x,
+            residual=verdict.residual,
+            passed=verdict.passed,
+            x=verdict.x,
             lu=lu,
             ipiv=ipiv_global,
             bytes_by_rank=bytes_by_rank,
@@ -765,10 +730,8 @@ class DistributedHPL:
             hidden_comm_s=hidden_total,
             metrics=metrics,
             dtype=self.dtype,
-            refine_time_s=(refine_report.refine_wall_s
-                           if refine_report is not None else None),
-            refine=(refine_report.to_dict()
-                    if refine_report is not None else None),
+            refine_time_s=verdict.refine.refine_wall_s if verdict.refine else None,
+            refine=verdict.refine.to_dict() if verdict.refine else None,
         )
 
     def _harvest_resilience(self, world: World, totals: dict) -> None:

@@ -4,7 +4,8 @@
 paper's two schedulers predicts the factorization time on the simulated
 Knights Corner, the solve is charged as a bandwidth-bound pass, and — in
 numeric mode — the LU workspace's stage loop actually factors the
-matrix, computes x and checks the HPL residual.
+matrix, computes x and checks the HPL residual through
+:func:`solve_and_verify`, the epilogue every numeric run shares.
 
 The Sandy Bridge curve of Figure 6 (MKL SMP Linpack) is an analytic
 baseline calibrated to the paper's two published points: 83% at N=30K
@@ -13,13 +14,15 @@ baseline calibrated to the paper's two published points: 83% at N=30K
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.hpl.matgen import hpl_system
-from repro.hpl.mxp import expected_iterations, refine_model_time_s, refine_to_double
+from repro.hpl.mxp import (RefineReport, expected_iterations,
+                           refine_model_time_s, refine_to_double)
 from repro.hpl.residual import hpl_residual, residual_passes
 from repro.lu.dynamic import DynamicScheduler, ScheduleResult
 from repro.lu.factorize import lu_solve
@@ -59,6 +62,71 @@ def snb_hpl_efficiency(n: int) -> float:
 def snb_hpl_gflops(n: int) -> float:
     """The corresponding achieved GFLOPS (333 GFLOPS peak)."""
     return snb_hpl_efficiency(n) * SNB.peak_dp_gflops()
+
+
+def check_numeric_args(dtype: str, mxp: bool, executor: str) -> None:
+    """Vet the dtype, MxP and executor knobs of a numeric HPL run."""
+    if dtype not in ("float64", "float32"):
+        raise ValueError(f"dtype must be 'float64' or 'float32', got {dtype!r}")
+    if mxp and dtype != "float32":
+        raise ValueError("mxp factors in single precision: set dtype='float32'")
+    if executor not in EXECUTOR_BACKENDS:
+        raise ValueError(
+            f"executor must be one of {EXECUTOR_BACKENDS}, got {executor!r}"
+        )
+
+
+def seeded_system(n: int, seed: int, dtype: str, mxp: bool) -> tuple:
+    """The seeded (A, b) a run is judged against: at the working
+    precision, or the DP ground truth whose SP rounding MxP factors."""
+    return hpl_system(n, seed, dtype=np.float64 if mxp else np.dtype(dtype))
+
+
+@dataclass
+class Verdict:
+    """What :func:`solve_and_verify` found."""
+
+    x: np.ndarray
+    residual: float
+    passed: bool
+    refine: Optional[RefineReport]  #: None unless mxp
+    verify_s: float  #: wall seconds of the residual check alone
+
+
+def solve_and_verify(
+    lu, ipiv, system, *, dtype, mxp, nb, pool, executor=None, refine_tol=1.0,
+    refine_max_iters=8, metrics=None, profiler=None,
+) -> Verdict:
+    """Solve A x = b from the factors and run the HPL residual check
+    against ``system``, the run's :func:`seeded_system`.
+
+    MxP refines the SP factors against the DP system (falling back to an
+    ``nb``-blocked DP factorization on ``executor``) and faces the DP
+    check, recording the ``hpl.refine_*`` gauges in ``metrics``; pure SP
+    is judged against SP's epsilon. ``profiler`` records the
+    ``hpl.solve`` and ``hpl.refine`` alloc spans.
+    """
+    a0, b = system
+    profiler = AllocProfiler(enabled=False) if profiler is None else profiler
+    report = None
+    with profiler.span("hpl.solve"):
+        if mxp:
+            with profiler.span("hpl.refine"):
+                x, report = refine_to_double(
+                    a0, b, lu, ipiv, tol=refine_tol, max_iters=refine_max_iters,
+                    pool=pool, fallback_nb=nb, fallback_workers=executor,
+                )
+        else:
+            x = lu_solve(lu, ipiv, b, pool=pool)
+    t0 = time.perf_counter()
+    eps_dtype = np.float64 if mxp else np.dtype(dtype)
+    residual = hpl_residual(a0, x, b, eps_dtype=eps_dtype)
+    passed = residual_passes(a0, x, b, eps_dtype=eps_dtype)
+    verify_s = time.perf_counter() - t0
+    if metrics is not None and report is not None:
+        metrics.gauge("hpl.refine_time_s").set(report.refine_wall_s)
+        metrics.gauge("hpl.refine_iterations").set(report.iterations)
+    return Verdict(x, residual, passed, report, verify_s)
 
 
 @dataclass
@@ -110,14 +178,7 @@ class NativeHPL:
             raise ValueError(
                 f"unknown scheduler {scheduler!r}; pick from {sorted(self.SCHEDULERS)}"
             )
-        if executor not in EXECUTOR_BACKENDS:
-            raise ValueError(
-                f"executor must be one of {EXECUTOR_BACKENDS}, got {executor!r}"
-            )
-        if dtype not in ("float64", "float32"):
-            raise ValueError(f"dtype must be 'float64' or 'float32', got {dtype!r}")
-        if mxp and dtype != "float32":
-            raise ValueError("mxp factors in single precision: set dtype='float32'")
+        check_numeric_args(dtype, mxp, executor)
         self.n = n
         self.nb = nb
         self.scheduler_name = scheduler
@@ -173,22 +234,13 @@ class NativeHPL:
         """
         workspace = None
         executor = None
-        pool = None
-        a0 = b = None
-        np_dtype = np.float32 if self.dtype == "float32" else np.float64
+        system = None
         profiler = AllocProfiler(enabled=numeric and self.alloc_profile)
         if numeric:
-            if self.mxp:
-                # DP ground truth for residuals; the factorization works on
-                # its one-time rounding to SP.
-                a0, b = hpl_system(self.n, seed)
-                a_work = a0.astype(np.float32)
-            else:
-                a0, b = hpl_system(self.n, seed, dtype=np_dtype)
-                a_work = a0.copy()
+            system = seeded_system(self.n, seed, self.dtype, self.mxp)
+            a_work = system[0].astype(self.dtype)
             executor = make_executor(self.executor, self.workers)
             workspace = LUWorkspace(a_work, self.nb, executor=executor)
-            pool = workspace.pool
         sched = self._make_scheduler()
         with profiler.span("hpl.factor"):
             if numeric:
@@ -197,34 +249,20 @@ class NativeHPL:
         # Carry the scheduler's registry forward and add the HPL-level view.
         metrics = result.metrics or MetricsRegistry()
 
-        residual = passed = None
-        refine_report = None
-        refine_iters = None
+        verdict = report = None
         if numeric:
-            with profiler.span("hpl.solve"):
-                if self.mxp:
-                    with profiler.span("hpl.refine"):
-                        x, report = refine_to_double(
-                            a0, b, workspace.a, ipiv,
-                            tol=self.refine_tol,
-                            max_iters=self.refine_max_iters,
-                            pool=pool,
-                            fallback_nb=self.nb,
-                            fallback_workers=executor,
-                        )
-                    refine_report = report
-                    refine_iters = report.iterations
-                else:
-                    x = lu_solve(workspace.a, ipiv, np.asarray(b), pool=pool)
-            # MxP solutions face the standard DP acceptance test; a pure SP
-            # run is judged against its own machine epsilon.
-            eps_dtype = np.float64 if self.mxp else np_dtype
-            residual = hpl_residual(a0, x, b, eps_dtype=eps_dtype)
-            passed = residual_passes(a0, x, b, eps_dtype=eps_dtype)
+            verdict = solve_and_verify(
+                workspace.a, ipiv, system, dtype=self.dtype, mxp=self.mxp,
+                nb=self.nb, pool=workspace.pool, executor=executor,
+                refine_tol=self.refine_tol,
+                refine_max_iters=self.refine_max_iters, metrics=metrics,
+                profiler=profiler,
+            )
+            report = verdict.refine
 
         refine_time = None
         if self.mxp:
-            refine_time = self.refine_time_model_s(refine_iters)
+            refine_time = self.refine_time_model_s(report and report.iterations)
         time_s = result.makespan_s + self.solve_time_s() + (refine_time or 0.0)
         flops = LUTiming.hpl_flops(self.n)
         gflops = flops / time_s / 1e9
@@ -234,9 +272,8 @@ class NativeHPL:
         metrics.gauge("hpl.factor_time_s").set(result.makespan_s)
         metrics.gauge("hpl.solve_time_s").set(self.solve_time_s())
         if refine_time is not None:
+            # Native reports the model clock, also for the refinement.
             metrics.gauge("hpl.refine_time_s").set(refine_time)
-        if refine_iters is not None:
-            metrics.gauge("hpl.refine_iterations").set(refine_iters)
         out = HPLResult(
             n=self.n,
             nb=self.nb,
@@ -249,13 +286,13 @@ class NativeHPL:
             dtype=self.dtype,
             factor_time_s=result.makespan_s,
             refine_time_s=refine_time,
-            refine=refine_report.to_dict() if refine_report else None,
+            refine=report.to_dict() if report else None,
         )
         if numeric:
-            out.residual = residual
-            out.passed = passed
+            out.residual = verdict.residual
+            out.passed = verdict.passed
             workspace.pack_cache.publish(metrics)
-            pool.publish(metrics)
+            workspace.pool.publish(metrics)
             profiler.publish(metrics)
             out.alloc = profiler.to_dict()
             executor.publish(metrics)

@@ -2,20 +2,16 @@
 real.
 
 The timing driver (:mod:`repro.hybrid.driver`) models the hybrid stage
-loop; this module *executes* it: the host factors the panel, applies the
-pivots and solves the U row panel, and the stage's trailing update runs
-through the offload engine — tiles packed, "shipped", computed by the
-simulated card via the packed-format BLAS, and accumulated back, with
-the host's spare capacity work-stealing from the opposite corner. The
-result is verified against SciPy and the HPL residual test, which pins
-down that the hybrid orchestration moves exactly the right blocks.
-
-The offloaded updates run on the pack-once + tile-executor substrate:
-each stage's resident strips are packed once and shared across tiles,
-and with ``workers`` the stripe GEMMs fan across the pool.
-:func:`run_hybrid_numeric` wraps the whole factorization + solve +
-residual check into a :class:`~repro.obs.result.RunResult` for the
-CLI's ``hybrid --numeric`` path.
+loop; this module *executes* it. As in Section V, the hybrid Linpack is
+the native algorithm with one change: the
+:class:`~repro.lu.tasks.LUWorkspace` stage loop runs on the host, and
+each stage's trailing update goes through the offload step
+(:func:`repro.hybrid.offload.offload_update`) — tiles packed, "shipped",
+computed by the simulated card via the packed-format BLAS and
+accumulated back, with the host's spare capacity work-stealing from the
+opposite corner. :func:`run_hybrid_numeric` adds the shared
+solve-and-verify epilogue (:func:`repro.hpl.driver.solve_and_verify`)
+for the CLI's ``hybrid --numeric`` path.
 """
 
 from __future__ import annotations
@@ -27,20 +23,18 @@ from typing import Optional
 import numpy as np
 
 from repro.blas.buffers import BufferPool
-from repro.blas.getrf import getrf
-from repro.blas.laswp import laswp
-from repro.blas.trsm import trsm_lower_unit_left
+
+# The host kernels stay bound here for benchmarks/e2e/spans.py, which
+# wraps them at every import site; the stage loop itself calls them
+# from repro.lu.tasks.
+from repro.blas.getrf import getrf  # noqa: F401
+from repro.blas.laswp import laswp  # noqa: F401
+from repro.blas.trsm import trsm_lower_unit_left  # noqa: F401
 from repro.blas.workspace import PackCache
-from repro.hybrid.offload import OffloadDGEMM
-from repro.lu.tasks import LUWorkspace
+from repro.hpl.driver import check_numeric_args, seeded_system, solve_and_verify
+from repro.lu.factorize import blocked_lu
 from repro.obs import AllocProfiler, MetricsRegistry, RunResult
-from repro.parallel import (
-    EXECUTOR_BACKENDS,
-    TileExecutor,
-    as_executor,
-    is_process_executor,
-    make_executor,
-)
+from repro.parallel import make_executor
 
 
 def hybrid_blocked_lu(
@@ -53,86 +47,19 @@ def hybrid_blocked_lu(
     pack_cache: Optional[PackCache] = None,
     pool: Optional[BufferPool] = None,
 ) -> tuple:
-    """Factor ``a`` in place with offloaded trailing updates.
+    """Factor ``a`` in place with offloaded trailing updates; returns
+    (a, global_ipiv) like :func:`repro.lu.factorize.blocked_lu`, which
+    this is with each stage's trailing GEMM run as one offload
+    (``cards``, ``tile``, ``host_assist``).
 
-    Returns (a, global_ipiv) in the same convention as
-    :func:`repro.lu.factorize.blocked_lu` — and produces bit-compatible
-    results with it, because the offload tiles partition the exact same
-    GEMM.
-
-    ``pack_cache`` (a :class:`~repro.blas.workspace.PackCache`,
-    call-local when omitted) lets each stage's offload engine pack its
-    resident A/B strips once and reuse them across tiles; ``workers``
-    fans the card-side stripe GEMMs over a
-    :class:`~repro.parallel.TileExecutor`; ``pool`` (a
-    :class:`~repro.blas.buffers.BufferPool`, call-local when omitted)
-    rents the host kernels' scratch and the offload staging buffers (the
-    ``-L21`` / U / C contiguous copies) instead of allocating per stage.
+    ``pack_cache`` lets each stage's offload pack its resident A/B
+    strips once and reuse them across tiles; ``workers`` fans the
+    card-side stripe GEMMs over threads or processes; ``pool`` rents the
+    host kernels' scratch and the offload staging buffers.
     """
-    if pack_cache is None:
-        pack_cache = PackCache()
-    if pool is None:
-        pool = BufferPool()
-    own_executor = (
-        workers is not None
-        and not isinstance(workers, TileExecutor)
-        and not is_process_executor(workers)
-    )
-    executor = as_executor(workers)
-    ws = LUWorkspace(a, nb, pool=pool)  # reuse the geometry/pivot bookkeeping
-    try:
-        for i in range(ws.n_panels):
-            r0 = ws.stage_row0(i)
-            cols = ws.panel_cols(i)
-            w = ws.panel_width(i)
-            # Host: panel factorization.
-            ipiv = getrf(a[r0:, cols], pool=pool)
-            ws.stage_ipiv[i] = ipiv
-            trailing = a[r0:, cols.stop :]
-            if trailing.shape[1] == 0:
-                continue
-            # Host: pivot swaps and the U-panel triangular solve.
-            laswp(trailing, ipiv, forward=True, pool=pool)
-            l11 = a[r0 : r0 + w, cols]
-            u_panel = trailing[:w, :]
-            trsm_lower_unit_left(l11, u_panel, pool=pool)
-            # Card(s): the offloaded trailing update C -= L21 @ U.
-            m_t = trailing.shape[0] - w
-            n_t = trailing.shape[1]
-            if m_t > 0:
-                # Stage the contiguous offload operands in rented buffers:
-                # -L21 (the sign folds the subtraction into the
-                # accumulate), U and C.
-                neg_l21 = pool.checkout((m_t, w), a.dtype, key="hybrid.l21")
-                np.negative(a[r0 + w :, cols], out=neg_l21)
-                u = pool.checkout((w, n_t), a.dtype, key="hybrid.u")
-                np.copyto(u, u_panel)
-                c = pool.checkout((m_t, n_t), a.dtype, key="hybrid.c")
-                np.copyto(c, trailing[w:, :])
-                try:
-                    tile_choice = tile or (max(1, m_t // 2), max(1, n_t // 2))
-                    OffloadDGEMM(
-                        m_t,
-                        n_t,
-                        kt=w,
-                        cards=min(cards, n_t),
-                        tile=tile_choice,
-                        host_assist=host_assist,
-                        pack_cache=pack_cache,
-                        executor=executor,
-                        pool=pool,
-                    ).run(neg_l21, u, c)
-                    trailing[w:, :] = c
-                finally:
-                    pool.release(neg_l21)
-                    pool.release(u)
-                    pool.release(c)
-                # This stage's strips are dead; only counters persist.
-                pack_cache.invalidate()
-    finally:
-        if own_executor and executor is not None:
-            executor.close()
-    return ws.a, ws.finalize()
+    offload = {"cards": cards, "tile": tile, "host_assist": host_assist}
+    return blocked_lu(a, nb=nb, workers=workers, pack_cache=pack_cache,
+                      pool=pool, offload=offload)
 
 
 @dataclass
@@ -181,43 +108,21 @@ def run_hybrid_numeric(
     ``executor`` picks the stripe fan-out backend ("thread" or
     "process" — shared-memory worker processes, bitwise identical).
     ``alloc_profile`` wraps the factor and solve phases in tracemalloc
-    spans recorded as ``alloc``.
-
-    ``dtype="float32"`` factors in single precision; with ``mxp`` the
-    SP factorization is followed by iterative refinement against the DP
-    system (:func:`repro.hpl.mxp.refine_to_double`), so the result faces
-    the standard DP residual check. A pure SP run (``mxp=False``) is
-    judged against SP's own epsilon instead.
+    spans recorded as ``alloc``. ``dtype="float32"`` factors in single
+    precision, and ``mxp`` refines that to the DP check.
     """
-    from repro.hpl.matgen import hpl_system
-    from repro.hpl.mxp import refine_to_double
-    from repro.hpl.residual import hpl_residual, residual_passes
-    from repro.lu.factorize import lu_solve
     from repro.lu.timing import LUTiming
 
-    if executor not in EXECUTOR_BACKENDS:
-        raise ValueError(
-            f"executor must be one of {EXECUTOR_BACKENDS}, got {executor!r}"
-        )
-    if dtype not in ("float64", "float32"):
-        raise ValueError(f"dtype must be 'float64' or 'float32', got {dtype!r}")
-    if mxp and dtype != "float32":
-        raise ValueError("mxp factors in single precision: set dtype='float32'")
-    np_dtype = np.float32 if dtype == "float32" else np.float64
-    if mxp:
-        a0, b = hpl_system(n, seed)  # DP ground truth
-        a_work = a0.astype(np.float32)
-    else:
-        a0, b = hpl_system(n, seed, dtype=np_dtype)
-        a_work = a0.copy()
+    check_numeric_args(dtype, mxp, executor)
+    system = seeded_system(n, seed, dtype, mxp)
+    a_work = system[0].astype(dtype)
     cache = PackCache()
     pool = BufferPool()
     profiler = AllocProfiler(enabled=alloc_profile)
     executor = make_executor(executor, workers)
-    report = None
     t0 = time.perf_counter()
     try:
-        with profiler.span("hybrid.factor"):
+        with profiler.span("hpl.factor"):
             lu, ipiv = hybrid_blocked_lu(
                 a_work,
                 nb=nb,
@@ -228,33 +133,24 @@ def run_hybrid_numeric(
                 pool=pool,
             )
         factor_s = time.perf_counter() - t0
-        with profiler.span("hybrid.solve"):
-            if mxp:
-                x, report = refine_to_double(
-                    a0, b, lu, ipiv,
-                    tol=refine_tol,
-                    max_iters=refine_max_iters,
-                    pool=pool,
-                    fallback_nb=nb,
-                    fallback_workers=executor,
-                )
-            else:
-                x = lu_solve(lu, ipiv, b, pool=pool)
+        metrics = MetricsRegistry()
+        verdict = solve_and_verify(
+            lu, ipiv, system, dtype=dtype, mxp=mxp, nb=nb, pool=pool,
+            executor=executor, refine_tol=refine_tol,
+            refine_max_iters=refine_max_iters, metrics=metrics,
+            profiler=profiler,
+        )
     finally:
         executor.close()
         profiler.close()
-    wall_s = time.perf_counter() - t0
-    metrics = MetricsRegistry()
+    # Wall clock of the factor and solve; the residual check is not timed.
+    wall_s = time.perf_counter() - t0 - verdict.verify_s
     cache.publish(metrics)
     pool.publish(metrics)
     profiler.publish(metrics)
     executor.publish(metrics)
     metrics.gauge("hpl.wall_time_s").set(wall_s)
     metrics.gauge("hpl.factor_time_s").set(factor_s)
-    if report is not None:
-        metrics.gauge("hpl.refine_time_s").set(report.refine_wall_s)
-        metrics.gauge("hpl.refine_iterations").set(report.iterations)
-    eps_dtype = np.float64 if mxp else np_dtype
     return HybridNumericResult(
         n=n,
         nb=nb,
@@ -262,12 +158,12 @@ def run_hybrid_numeric(
         workers=executor.workers,
         time_s=wall_s,
         gflops=LUTiming.hpl_flops(n) / wall_s / 1e9,
-        residual=hpl_residual(a0, x, b, eps_dtype=eps_dtype),
-        passed=residual_passes(a0, x, b, eps_dtype=eps_dtype),
+        residual=verdict.residual,
+        passed=verdict.passed,
         metrics=metrics,
         alloc=profiler.to_dict(),
         dtype=dtype,
         factor_time_s=factor_s,
-        refine_time_s=report.refine_wall_s if report is not None else None,
-        refine=report.to_dict() if report is not None else None,
+        refine_time_s=verdict.refine.refine_wall_s if verdict.refine else None,
+        refine=verdict.refine.to_dict() if verdict.refine else None,
     )

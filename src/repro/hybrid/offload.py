@@ -190,16 +190,14 @@ class OffloadDGEMM:
         c: Optional[np.ndarray] = None,
     ) -> OffloadResult:
         """Simulate the offload; with (a, b, c) supplied, also execute it
-        numerically (c is updated in place)."""
+        numerically (c is updated in place; a numeric run needs c)."""
         numeric = a is not None
         if numeric:
             a = np.asarray(a)
             b = np.asarray(b)
-            if c is None:
-                c = np.zeros((self.m, self.n), dtype=a.dtype)
             if a.shape != (self.m, self.kt) or b.shape != (self.kt, self.n):
                 raise ValueError("operand shapes do not match the offload geometry")
-            if c.shape != (self.m, self.n):
+            if c is None or c.shape != (self.m, self.n):
                 raise ValueError("c has the wrong shape")
 
         sim = Simulator()
@@ -377,3 +375,36 @@ class OffloadDGEMM:
             trace=trace,
             metrics=metrics,
         )
+
+
+
+def offload_update(
+    l21, u, c, *, cards=1, tile=None, host_assist=True,
+    pack_cache: Optional[PackCache] = None, executor=None,
+    pool: Optional[BufferPool] = None,
+) -> OffloadResult:
+    """The offloaded trailing update ``c -= l21 @ u``: one numeric
+    :class:`OffloadDGEMM` run (tiles default to quarters of C; ``cards``
+    is capped at C's width). The engine accumulates, so -L21 (the sign
+    folds in the subtraction), U and C are staged in buffers rented from
+    ``pool``; the strips packed into ``pack_cache`` die with the call."""
+    m, n = c.shape
+    pool = BufferPool() if pool is None else pool
+    pack_cache = PackCache() if pack_cache is None else pack_cache
+    with pool.rent(l21.shape, c.dtype, key="offload.l21") as neg_l21, \
+            pool.rent(u.shape, c.dtype, key="offload.u") as u_buf, \
+            pool.rent(c.shape, c.dtype, key="offload.c") as c_buf:
+        np.negative(l21, out=neg_l21)
+        np.copyto(u_buf, u)
+        np.copyto(c_buf, c)
+        try:
+            result = OffloadDGEMM(
+                m, n, kt=l21.shape[1], cards=min(cards, n),
+                tile=tile or (max(1, m // 2), max(1, n // 2)),
+                host_assist=host_assist, pack_cache=pack_cache,
+                executor=executor, pool=pool,
+            ).run(neg_l21, u_buf, c_buf)
+        finally:
+            pack_cache.invalidate()
+        np.copyto(c, c_buf)
+    return result

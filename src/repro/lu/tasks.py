@@ -13,8 +13,9 @@
 :meth:`LUWorkspace.factor` is the one single-node numeric stage loop:
 panel i, then stage i's trailing updates, in order. ``blocked_lu``, the
 numeric :class:`~repro.hpl.driver.NativeHPL` run (under either
-scheduler — the DES schedulers only predict time) and the MxP
-double-precision fallback all reach it. Any other execution order that
+scheduler — the DES schedulers only predict time), the MxP
+double-precision fallback and the numeric hybrid run (its trailing
+GEMMs through the offload engine) all reach it. Any other execution order that
 respects the DAG's dependencies produces the same factorization;
 :func:`repro.lu.factorize.lu_via_dag` replays such orders one task at a
 time as the test oracle for that property.
@@ -59,6 +60,8 @@ class LUWorkspace:
     the workspace's own) is threaded into every kernel — getrf scratch,
     laswp gathers, trsm workspaces and GEMM stripes — so steady-state
     stages rent their temporaries from the arena instead of allocating.
+    ``offload`` (``cards``/``tile``/``host_assist`` keywords) sends the
+    trailing GEMMs through :func:`~repro.hybrid.offload.offload_update`.
     """
 
     def __init__(
@@ -68,6 +71,7 @@ class LUWorkspace:
         pack_cache: Optional[PackCache] = None,
         executor=None,
         pool: Optional[BufferPool] = None,
+        offload: Optional[dict] = None,
     ):
         a = np.asarray(a)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -103,9 +107,10 @@ class LUWorkspace:
                 free=self.pool.release,
             )
         self.pack_cache = pack_cache
-        # Per-stage count of outstanding trailing updates, so the stage's
-        # packed L21 can be dropped as soon as its last consumer retires.
-        self._updates_left = [self.n_panels - i - 1 for i in range(self.n_panels)]
+        self.offload = offload
+        # Per-stage count of trailing columns not yet updated, so the
+        # stage's packed L21 can be dropped when its last consumer retires.
+        self._cols_left = [max(0, self.n - (i + 1) * nb) for i in range(self.n_panels)]
         self.finalized = False
 
     # -- geometry -------------------------------------------------------------
@@ -129,11 +134,15 @@ class LUWorkspace:
         (:meth:`finalize`). Tasks run one at a time; the executor only
         fans each update's GEMM stripes, which write disjoint row bands,
         so results are bitwise identical at any width and on either
-        backend."""
+        backend. The packed GEMM updates one panel per call (BLAS bits
+        depend on the GEMM's shape); an offload takes the whole stage."""
         for i in range(self.n_panels):
             self._run_panel(i)
-            for p in range(i + 1, self.n_panels):
-                self._run_update(i, p)
+            if self.offload is None:
+                for p in range(i + 1, self.n_panels):
+                    self._run_update(i, p)
+            elif i + 1 < self.n_panels:
+                self.update(i, (i + 1) * self.nb, self.n)
         return self.finalize()
 
     def execute(self, task: Task) -> None:
@@ -150,37 +159,41 @@ class LUWorkspace:
         self.stage_ipiv[i] = getrf(panel, pool=self.pool)
 
     def _run_update(self, i: int, p: int) -> None:
+        cols = self.panel_cols(p)
+        self.update(i, cols.start, cols.stop)
+
+    def update(self, i: int, c0: int, c1: int) -> None:
+        """UPDATE of stage i over columns [c0, c1): laswp, trsm, GEMM."""
         ipiv = self.stage_ipiv[i]
         if ipiv is None:
             raise RuntimeError(f"update of stage {i} before its panel factored")
         r0 = self.stage_row0(i)
-        w = self.panel_width(i)
-        block = self.a[r0:, self.panel_cols(p)]
+        cols = self.panel_cols(i)
+        w = cols.stop - cols.start
+        block = self.a[r0:, c0:c1]
         # DLASWP: stage i's swaps, local to rows r0...
         laswp(block, ipiv, forward=True, pool=self.pool)
         # DTRSM: U block = L11^{-1} @ top rows.
-        l11 = self.a[r0 : r0 + w, self.panel_cols(i)]
         u_block = block[:w, :]
-        trsm_lower_unit_left(l11, u_block, pool=self.pool)
+        trsm_lower_unit_left(self.a[r0 : r0 + w, cols], u_block, pool=self.pool)
         # DGEMM: trailing rows -= L21 @ U block.
         if block.shape[0] > w:
-            gemm(
-                self.a[r0 + w :, self.panel_cols(i)],
-                u_block,
-                block[w:, :],
-                alpha=-1.0,
-                beta=1.0,
-                pack_cache=self.pack_cache,
-                a_key=("lu.l21", i),
-                b_key=("lu.u", i, p),
-                executor=self.executor,
-                pool=self.pool,
-            )
-        # The U panel is consumed by exactly this update; the L21 panel
-        # dies with the stage's last trailing update.
-        self.pack_cache.invalidate(("lu.u", i, p))
-        self._updates_left[i] -= 1
-        if self._updates_left[i] == 0:
+            l21 = self.a[r0 + w :, cols]
+            kw = dict(pack_cache=self.pack_cache, executor=self.executor,
+                      pool=self.pool)
+            if self.offload is None:
+                gemm(l21, u_block, block[w:, :], alpha=-1.0, beta=1.0,
+                     a_key=("lu.l21", i), b_key=("lu.u", i, c0), **kw)
+            else:
+                # Imported here: repro.hybrid builds on this module.
+                from repro.hybrid.offload import offload_update
+
+                offload_update(l21, u_block, block[w:, :], **self.offload, **kw)
+        # The U block is consumed by exactly this update; the L21 panel
+        # dies with the stage's last trailing column.
+        self.pack_cache.invalidate(("lu.u", i, c0))
+        self._cols_left[i] -= c1 - c0
+        if self._cols_left[i] == 0:
             self.pack_cache.invalidate(("lu.l21", i))
 
     # -- finalisation -----------------------------------------------------------

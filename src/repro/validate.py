@@ -62,13 +62,13 @@ def _check_distributed() -> str:
 
 
 def _check_offload_numeric() -> str:
-    from repro.hybrid import OffloadDGEMM
+    from repro.hybrid.offload import offload_update
 
     rng = np.random.default_rng(2)
     a, b = rng.standard_normal((60, 10)), rng.standard_normal((10, 60))
     c = np.zeros((60, 60))
-    OffloadDGEMM(60, 60, kt=10, tile=(30, 30), host_assist=True).run(a, b, c)
-    err = float(np.abs(c - a @ b).max())
+    offload_update(a, b, c, tile=(30, 30))  # c -= a @ b
+    err = float(np.abs(c + a @ b).max())
     assert err < 1e-10, f"offload error {err}"
     return "offload tiles cover the update exactly"
 

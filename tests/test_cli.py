@@ -164,7 +164,7 @@ class TestCLIResilience:
 
     def test_distributed_failed_residual_exits_nonzero(self, capsys,
                                                        monkeypatch):
-        monkeypatch.setattr("repro.cluster.hpl_mpi.residual_passes",
+        monkeypatch.setattr("repro.hpl.driver.residual_passes",
                             lambda *a, **k: False)
         assert main(self.DIST) == 1
         captured = capsys.readouterr()
@@ -173,7 +173,7 @@ class TestCLIResilience:
 
     def test_failed_residual_under_json_keeps_stdout_valid(self, capsys,
                                                            monkeypatch):
-        monkeypatch.setattr("repro.cluster.hpl_mpi.residual_passes",
+        monkeypatch.setattr("repro.hpl.driver.residual_passes",
                             lambda *a, **k: False)
         assert main(self.DIST + ["--json"]) == 1
         captured = capsys.readouterr()
